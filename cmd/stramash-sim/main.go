@@ -19,7 +19,9 @@
 // messaging) and writes a Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing. -trace-summary prints the per-class cycle-attribution
 // report instead of (or in addition to) the JSON. Tracing never perturbs
-// simulated timing: cycle counts are identical with and without it.
+// simulated timing: cycle counts are identical with and without it. Only
+// the NPB run is traced: combining -trace or -trace-summary with -fileio,
+// -prod, -tenants or -cluster is a usage error (exit 2).
 //
 // -fileio replaces the NPB benchmark with a cross-ISA shared-file
 // workload (an x86 producer and an Arm consumer on one file) and runs it
@@ -86,6 +88,10 @@ func main() {
 	}
 	if *epochFlag > 0 {
 		machine.DefaultEpoch = sim.Cycles(*epochFlag)
+	}
+	if err := checkTraceFlags(modeFlag(*fileIO, *prod, *tenants, *cluster), *traceOut, *traceSummary); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	if *fileIO {
@@ -176,6 +182,38 @@ func main() {
 		fatal(f.Close())
 		fmt.Printf("trace: %d events written to %s\n", buf.Len(), *traceOut)
 	}
+}
+
+// modeFlag names the flag selecting a mode other than the NPB run, in the
+// order main dispatches them, or returns "" for the NPB run.
+func modeFlag(fileIO, prod bool, tenants, cluster int) string {
+	switch {
+	case fileIO:
+		return "-fileio"
+	case prod:
+		return "-prod"
+	case tenants > 0:
+		return "-tenants"
+	case cluster > 0:
+		return "-cluster"
+	}
+	return ""
+}
+
+// checkTraceFlags rejects a tracing flag in a mode that runs without a
+// tracer (mode is that mode's flag, "" for the NPB run), which would
+// otherwise exit 0 having written nothing.
+func checkTraceFlags(mode, traceOut string, traceSummary bool) error {
+	if mode == "" {
+		return nil
+	}
+	if traceOut != "" {
+		return fmt.Errorf("-trace is not supported with %s: that mode runs untraced", mode)
+	}
+	if traceSummary {
+		return fmt.Errorf("-trace-summary is not supported with %s: that mode runs untraced", mode)
+	}
+	return nil
 }
 
 // tracerOrNil avoids the classic typed-nil-in-interface trap: a nil

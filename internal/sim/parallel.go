@@ -159,6 +159,7 @@ func (e *Engine) grantSerial(t *Thread) {
 	if !t.parked {
 		t.segKey = t.now
 	}
+	e.Stats.Switches++
 	t.resume <- struct{}{}
 	<-t.yield
 }
@@ -218,6 +219,7 @@ func (e *Engine) runDomainPhase(epochEnd Cycles) *Thread {
 	var failed *Thread
 	for _, r := range runs {
 		e.Stats.DomainSegments += r.segs
+		e.Stats.Switches += r.segs
 		e.Stats.DomainCycles += r.cycles
 		if r.parked {
 			e.Stats.Parks++

@@ -8,6 +8,13 @@
 // local clock always runs next, so the interleaving of cross-thread
 // interactions (atomics, IPIs, futex wake-ups) is a deterministic function of
 // the simulated timeline, never of host goroutine scheduling.
+//
+// Under the sequential driver (Run) there is no scheduler loop between
+// segments: the thread holding the single execution token picks its own
+// successor at every yield point, block and exit, and hands the token
+// straight to it — or keeps running, without any goroutine switch, when it
+// is still first in (clock, ID) order. Run only grants the first segment
+// and waits until no thread is runnable or one has failed.
 package sim
 
 import (
@@ -87,9 +94,12 @@ func (s threadState) String() string {
 }
 
 // Thread is a simulated thread of execution. The body function runs on its
-// own goroutine but only while the engine has granted it the (single)
-// execution token, so at most one simulated thread executes at a time and
-// the simulation stays deterministic.
+// own goroutine but only while it holds the (single) execution token, so at
+// most one simulated thread executes at a time and the simulation stays
+// deterministic. Under Run a thread that stops — yields, blocks or exits —
+// hands the token directly to its successor in (clock, ID) order; under
+// RunParallel it returns the token to the driver, which grants the next
+// segment.
 type Thread struct {
 	ID   ThreadID
 	Name string
@@ -102,8 +112,8 @@ type Thread struct {
 	// threads with smaller clocks can catch up.
 	sinceYield Cycles
 
-	resume chan struct{} // engine -> thread: you may run
-	yield  chan struct{} // thread -> engine: I stopped running
+	resume chan struct{} // token holder -> thread: you may run
+	yield  chan struct{} // thread -> parallel driver: I stopped running
 
 	// atomicDepth suppresses scheduler yields while > 0 (BeginAtomic).
 	atomicDepth int
@@ -188,8 +198,7 @@ func (t *Thread) CrossDomain() {
 	}
 	t.local = false
 	t.parked = true
-	t.yield <- struct{}{}
-	<-t.resume
+	t.pass()
 	t.parked = false
 }
 
@@ -268,8 +277,7 @@ func (t *Thread) YieldPoint() {
 	}
 	t.sinceYield = 0
 	t.state = stateRunnable
-	t.yield <- struct{}{}
-	<-t.resume
+	t.pass()
 	t.state = stateRunning
 	if t.preempt != nil && !t.inPreempt && t.preemptOff == 0 {
 		t.inPreempt = true
@@ -318,10 +326,28 @@ func (t *Thread) Block(reason string) {
 	t.blockReason = reason
 	t.sinceYield = 0
 	t.state = stateBlocked
-	t.yield <- struct{}{}
-	<-t.resume
+	t.pass()
 	t.state = stateRunning
 	t.blockReason = ""
+}
+
+// pass ends the thread's segment — t.state already says whether it yielded,
+// blocked or exited — and gives up the execution token. Under Run the thread
+// hands the token on itself (handOff); under RunParallel it returns it to the
+// driver. pass returns once the thread holds the token again, or at once for
+// an exiting thread.
+func (t *Thread) pass() {
+	exiting := t.state == stateDone
+	if t.eng.direct {
+		if t.eng.handOff(t) {
+			return
+		}
+	} else {
+		t.yield <- struct{}{}
+	}
+	if !exiting {
+		<-t.resume
+	}
 }
 
 // Engine owns a set of simulated threads and runs them deterministically.
@@ -344,6 +370,11 @@ type Engine struct {
 	threads []*Thread
 	lastRun ThreadID
 	running bool
+	// direct is set while Run drives the engine: token holders hand the
+	// token thread to thread, and wake Run through stopped — with the thread
+	// that failed, or nil when no thread is runnable.
+	direct  bool
+	stopped chan *Thread
 
 	// phaseDomains is the parallel driver's reusable phase scratch.
 	phaseDomains []int
@@ -351,7 +382,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the default scheduling quantum.
 func NewEngine() *Engine {
-	return &Engine{Quantum: 20000, lastRun: -1}
+	return &Engine{Quantum: 20000, lastRun: -1, stopped: make(chan *Thread)}
 }
 
 // Spawn creates a new simulated thread executing body. The thread's local
@@ -385,7 +416,7 @@ func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread 
 				tr.Emit(trace.Event{Cycle: int64(t.now), Kind: trace.KindThreadDone,
 					Tid: int32(t.ID), Node: -1, Name: t.Name})
 			}
-			t.yield <- struct{}{}
+			t.pass()
 		}()
 		body(t)
 	}()
@@ -414,36 +445,68 @@ func (e *Engine) Wake(t *Thread, when Cycles) {
 
 // Run drives the simulation until every thread has finished. It returns the
 // first error produced by a panicking thread, or a deadlock error if all
-// remaining threads are blocked.
+// remaining threads are blocked. Run grants only the first segment; every
+// later one is granted by the thread whose segment just ended (handOff).
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
 	}
-	e.running = true
-	defer func() { e.running = false }()
+	e.running, e.direct = true, true
+	defer func() { e.running, e.direct = false, false }()
 
-	for {
-		next := e.pickNext()
-		if next == nil {
-			if e.allDone() {
-				return e.firstErr()
-			}
-			return e.deadlockErr()
-		}
-		if tr := e.Tracer; tr != nil && next.ID != e.lastRun {
-			tr.Emit(trace.Event{Cycle: int64(next.now), Kind: trace.KindThreadSwitch,
-				Tid: int32(next.ID), Node: -1, Name: next.Name})
-		}
-		e.lastRun = next.ID
-		c0 := next.now
-		next.resume <- struct{}{}
-		<-next.yield
-		e.Stats.SerialSegments++
-		e.Stats.SerialCycles += next.now - c0
-		if next.err != nil {
-			return next.err
+	if first := e.pickNext(); first != nil {
+		e.grant(first)
+		if failed := <-e.stopped; failed != nil {
+			return failed.err
 		}
 	}
+	if e.allDone() {
+		return e.firstErr()
+	}
+	return e.deadlockErr()
+}
+
+// handOff is the sequential driver's scheduling step, run by the token
+// holder t when its segment ends. It closes the segment, picks the next one
+// exactly as a driver loop would, and reports whether that is t itself — in
+// which case t simply keeps running. Otherwise it resumes the successor's
+// goroutine, or wakes Run when t failed or no thread is runnable.
+func (e *Engine) handOff(t *Thread) bool {
+	e.Stats.SerialSegments++
+	e.Stats.SerialCycles += t.now - t.segKey
+	if t.err != nil {
+		e.stopped <- t
+		return false
+	}
+	next := e.pickNext()
+	switch next {
+	case t:
+		e.openSegment(t)
+		return true
+	case nil:
+		e.stopped <- nil
+	default:
+		e.grant(next)
+	}
+	return false
+}
+
+// grant opens t's segment and resumes its goroutine.
+func (e *Engine) grant(t *Thread) {
+	e.openSegment(t)
+	e.Stats.Switches++
+	t.resume <- struct{}{}
+}
+
+// openSegment records the start of t's next segment under Run: the context
+// switch trace event when a different thread ran last, and the segment key.
+func (e *Engine) openSegment(t *Thread) {
+	if tr := e.Tracer; tr != nil && t.ID != e.lastRun {
+		tr.Emit(trace.Event{Cycle: int64(t.now), Kind: trace.KindThreadSwitch,
+			Tid: int32(t.ID), Node: -1, Name: t.Name})
+	}
+	e.lastRun = t.ID
+	t.segKey = t.now
 }
 
 // pickNext returns the runnable thread with the smallest local clock,

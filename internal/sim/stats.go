@@ -31,6 +31,12 @@ type EngineStats struct {
 	PhaseDomains int64
 	// MaxPhaseWidth is the most domains ever run concurrently in one phase.
 	MaxPhaseWidth int64
+	// Switches counts grants that resumed a different goroutine — the host
+	// cost of the hand-offs. The parallel driver resumes a thread for every
+	// grant; under Run a thread that is still first in (clock, ID) order
+	// when its segment ends keeps running, and only a hand-off to another
+	// thread (or Run's first grant) is a switch.
+	Switches int64
 	// SerialCycles, SoloCycles and DomainCycles attribute simulated cycles
 	// advanced to the grant kind they were advanced under. DomainCycles is
 	// the work that ran (or could have run) concurrently on host cores.
@@ -39,8 +45,9 @@ type EngineStats struct {
 	DomainCycles Cycles
 }
 
-// Handoffs returns the total engine→thread grants (each costs one resume /
-// yield channel round trip on the host).
+// Handoffs returns the total segments granted, of every kind. Under
+// RunParallel each costs a resume / yield channel round trip on the host;
+// under Run only Switches of them resume another goroutine.
 func (s EngineStats) Handoffs() int64 {
 	return s.SerialSegments + s.SoloSegments + s.DomainSegments
 }
@@ -52,6 +59,7 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.SoloSegments += o.SoloSegments
 	s.DomainSegments += o.DomainSegments
 	s.Parks += o.Parks
+	s.Switches += o.Switches
 	s.Phases += o.Phases
 	s.PhaseDomains += o.PhaseDomains
 	if o.MaxPhaseWidth > s.MaxPhaseWidth {
@@ -70,6 +78,7 @@ func (s EngineStats) Map() map[string]int64 {
 		"solo_segments":   s.SoloSegments,
 		"domain_segments": s.DomainSegments,
 		"parks":           s.Parks,
+		"switches":        s.Switches,
 		"phases":          s.Phases,
 		"phase_domains":   s.PhaseDomains,
 		"max_phase_width": s.MaxPhaseWidth,
