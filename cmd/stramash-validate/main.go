@@ -11,8 +11,9 @@
 // to run, 3 when it runs but shape deviations are found. CI gates on this.
 //
 // -extras appends the reproduction-only experiments (multicore, filesys,
-// cluster, redisprod) to the suite, gating their shape checks with the
-// same exit codes.
+// cluster, redisprod, tenants) to the suite, gating their shape checks
+// with the same exit codes. A -scale other than quick or full is a usage
+// error (exit 2).
 //
 // Usage:
 //
@@ -28,8 +29,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // validationIDs is the §9.1 suite, in report order.
@@ -38,26 +37,13 @@ var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small
 func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
-	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod)")
-	engineFlag := flag.String("engine", "auto", "simulation driver: seq, par (epoch-barriered host-parallel) or auto (seq)")
-	epochFlag := flag.Int64("epoch", 0, "parallel driver epoch length in simulated cycles (0 = default)")
+	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod, tenants)")
 	flag.Parse()
 
-	eng, err := machine.ParseEngine(*engineFlag)
+	scale, err := experiments.ParseScale(*scaleFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if eng != machine.EngineAuto {
-		machine.DefaultEngine = eng
-	}
-	if *epochFlag > 0 {
-		machine.DefaultEpoch = sim.Cycles(*epochFlag)
-	}
-
-	scale := experiments.Quick
-	if *scaleFlag == "full" {
-		scale = experiments.Full
 	}
 
 	var specs []experiments.Spec

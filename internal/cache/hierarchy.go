@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -37,12 +36,8 @@ type level struct {
 	mru   *way
 	assoc int
 	mask  uint64
-	// tick is the level's private LRU clock, bumped once per stamp. Keeping
-	// it per level (rather than hierarchy-global) lets the two nodes' private
-	// levels be stamped concurrently by the parallel engine; victim selection
-	// compares timestamps only within one level, where the stamp order — and
-	// therefore every eviction decision — is identical to the sequential
-	// engine's.
+	// tick is the level's private LRU clock, bumped once per stamp; victim
+	// selection compares timestamps only within one level.
 	tick int64
 }
 
@@ -79,7 +74,6 @@ func (l *level) lookup(a lineAddr) *way {
 	return nil
 }
 
-
 // insert fills a into the level, evicting the LRU way if needed. It returns
 // the way now holding a (so callers can mark it dirty without a second set
 // scan) plus the evicted line and whether an eviction of a valid (possibly
@@ -98,8 +92,7 @@ func (l *level) insert(a lineAddr) (filled *way, evicted lineAddr, wasValid, was
 }
 
 // victimIn returns the index insert would evict from the given set: the
-// first invalid way, else the least recently used. Factored out so the
-// ParallelSafe probe can predict an eviction without performing it.
+// first invalid way, else the least recently used.
 func (l *level) victimIn(set []way) int {
 	victim := 0
 	for i := range set {
@@ -178,39 +171,14 @@ type nodeCaches struct {
 	coreStats []CoreStats
 }
 
-// dirShard indexes the directory shard a line belongs to, derived from the
-// owner of the memory region containing it: shard 0 and 1 hold lines of
-// node-owned regions, shard 2 holds lines of shared-pool regions and of
-// addresses outside every region. Sharding by region owner means a node
-// running inside the parallel engine's domain phase — which ParallelSafe
-// restricts to its own regions' lines — mutates only its own shard, so the
-// two nodes' directory traffic never races.
-type dirShard int8
-
-const (
-	shardNode0 dirShard = 0
-	shardNode1 dirShard = 1
-	shardOther dirShard = 2
-)
-
-// shardBound is one entry of the precomputed region→shard table: lines at
-// or above start (and below the next bound) belong to shard.
-type shardBound struct {
-	start lineAddr
-	shard dirShard
-}
-
 // Hierarchy is the machine-wide memory system timing model.
 type Hierarchy struct {
 	cfg      Config
 	layout   *mem.Layout
 	nodes    [2]*nodeCaches
 	sharedL3 *level
-	// dirs is the coherence directory, sharded by the owner of the region a
-	// line lives in (see dirShard). The split changes no simulated result:
-	// a line's entry is always in exactly one shard, found by shardOf.
-	dirs   [3]dirTable
-	bounds []shardBound
+	// dir is the coherence directory.
+	dir dirTable
 	// hints are the per-node, per-core last-line directory slot caches.
 	hints [2][]dirHint
 
@@ -235,11 +203,7 @@ type Hierarchy struct {
 // NewHierarchy builds the cache model for the given configuration and
 // physical layout.
 func NewHierarchy(cfg Config, layout *mem.Layout) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, layout: layout}
-	for i := range h.dirs {
-		h.dirs[i] = newDirTable()
-	}
-	h.bounds = buildShardBounds(layout)
+	h := &Hierarchy{cfg: cfg, layout: layout, dir: newDirTable()}
 	for n := 0; n < 2; n++ {
 		nc := &nodeCaches{coreStats: make([]CoreStats, cfg.Nodes[n].Cores)}
 		h.hints[n] = make([]dirHint, cfg.Nodes[n].Cores)
@@ -288,7 +252,7 @@ func (h *Hierarchy) ResetStats() {
 // state and charges no simulated cycles.
 func (h *Hierarchy) CheckMESI() error {
 	var err error
-	h.forEachEntry(func(ln lineAddr, e *dirEntry) {
+	h.dir.forEach(func(ln lineAddr, e *dirEntry) {
 		if err != nil {
 			return
 		}
@@ -318,47 +282,17 @@ func (h *Hierarchy) TraceContext(cycle int64, tid int32) {
 	h.ctxTid = tid
 }
 
-// buildShardBounds flattens the layout's region list into a sorted table of
-// (start line, shard) boundaries covering the whole address space; gaps
-// between regions map to shardOther.
-func buildShardBounds(layout *mem.Layout) []shardBound {
-	regions := append([]mem.Region(nil), layout.Regions...)
-	sort.Slice(regions, func(i, j int) bool { return regions[i].Start < regions[j].Start })
-	bounds := []shardBound{{start: 0, shard: shardOther}}
-	for _, r := range regions {
-		sh := shardOther
-		if r.Owner == 0 || r.Owner == 1 {
-			sh = dirShard(r.Owner)
-		}
-		s, e := lineOf(r.Start), lineOf(r.End()+mem.LineSize-1)
-		if last := &bounds[len(bounds)-1]; last.start == s {
-			last.shard = sh
-		} else {
-			bounds = append(bounds, shardBound{start: s, shard: sh})
-		}
-		bounds = append(bounds, shardBound{start: e, shard: shardOther})
-	}
-	return bounds
-}
-
-// shardOf returns the directory shard holding line a.
-func (h *Hierarchy) shardOf(a lineAddr) *dirTable {
-	return &h.dirs[h.shardIndexOf(a)]
-}
-
 // entry returns the directory entry for a line, creating it as uncached.
 // The pointer is valid only until the next directory mutation.
 func (h *Hierarchy) entry(a lineAddr) *dirEntry {
-	_, e := h.shardOf(a).ensure(a)
+	_, e := h.dir.ensure(a)
 	return e
 }
 
 // entryFor is entry with the accessing core's last-line hint: a repeat
-// access to the same line by the same core skips hashing and probing. The
-// hint needs no shard field: a line's shard is a pure function of its
-// address, so re-deriving it and checking the slot key is enough.
+// access to the same line by the same core skips hashing and probing.
 func (h *Hierarchy) entryFor(node, core int, a lineAddr) *dirEntry {
-	d := h.shardOf(a)
+	d := &h.dir
 	ht := &h.hints[node][core]
 	if ht.ok && ht.ln == a && int(ht.idx) < len(d.slots) {
 		if s := &d.slots[ht.idx]; s.used && s.key == a {
@@ -667,7 +601,7 @@ func (h *Hierarchy) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 		}
 	}
 	if !e.holders[0] && !e.holders[1] {
-		h.shardOf(ln).remove(ln)
+		h.dir.remove(ln)
 	}
 }
 
@@ -691,25 +625,18 @@ func (h *Hierarchy) invalidateNode(node int, ln lineAddr) {
 // according to the coherence directory (used by invariant tests).
 func (h *Hierarchy) HoldsLine(node mem.NodeID, addr mem.PhysAddr) bool {
 	ln := lineOf(addr)
-	e := h.shardOf(ln).get(ln)
+	e := h.dir.get(ln)
 	return e != nil && e.holders[node]
 }
 
 // OwnerOf returns the node holding the line M/E, or -1 if shared/uncached.
 func (h *Hierarchy) OwnerOf(addr mem.PhysAddr) int {
 	ln := lineOf(addr)
-	e := h.shardOf(ln).get(ln)
+	e := h.dir.get(ln)
 	if e == nil {
 		return -1
 	}
 	return int(e.owner)
-}
-
-// forEachEntry visits every live directory entry across all shards.
-func (h *Hierarchy) forEachEntry(f func(lineAddr, *dirEntry)) {
-	for i := range h.dirs {
-		h.dirs[i].forEach(f)
-	}
 }
 
 // Flush empties every cache in the machine (contents only; stats remain).
@@ -727,9 +654,7 @@ func (h *Hierarchy) Flush() {
 	if h.sharedL3 != nil {
 		h.sharedL3.flushAll()
 	}
-	for i := range h.dirs {
-		h.dirs[i].reset()
-	}
+	h.dir.reset()
 	for n := range h.hints {
 		for c := range h.hints[n] {
 			h.hints[n][c] = dirHint{}

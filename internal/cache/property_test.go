@@ -75,7 +75,7 @@ func TestMESIInvariantRandomSchedules(t *testing.T) {
 					checkMESI(t, h, step)
 				}
 				// Directory state must also agree with the public view.
-				h.forEachEntry(func(ln lineAddr, e *dirEntry) {
+				h.dir.forEach(func(ln lineAddr, e *dirEntry) {
 					pa := mem.PhysAddr(ln) * mem.LineSize
 					for n := 0; n < 2; n++ {
 						if h.HoldsLine(mem.NodeID(n), pa) != e.holders[n] {

@@ -42,8 +42,6 @@ const (
 	Futex
 	// Spawn guards clone(): creating new tasks inside the tenant.
 	Spawn
-	// Net guards claiming the machine's network stack (Task.ClaimNet).
-	Net
 
 	kindCount
 )
@@ -60,8 +58,6 @@ func (k Kind) String() string {
 		return "futex"
 	case Spawn:
 		return "spawn"
-	case Net:
-		return "net"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

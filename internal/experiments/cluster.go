@@ -41,9 +41,9 @@ type ClusterRow struct {
 	PerServer []redisapp.NetServerStats
 	// NIC holds every machine's device counters, generator first.
 	NIC []net.NICStats
-	// Engine holds the shared engine's driver counters for this cell, when
-	// StatGate(GateEngine) was set. Driver-dependent: never rendered, never
-	// in Metrics — exported only through EngineStats (-engine-stats JSON).
+	// Engine holds the shared engine's counters for this cell, when
+	// StatGate(GateEngine) was set. Host-side: never rendered, never in
+	// Metrics — exported only through EngineStats (-engine-stats JSON).
 	Engine map[string]int64
 }
 
@@ -278,8 +278,8 @@ func (r *ClusterResult) Metrics() map[string]int64 {
 	return m
 }
 
-// EngineStats implements EngineStatsSource: per-cell driver counters
-// (segment kinds, phase widths, parks) keyed like Metrics. Nil unless the
+// EngineStats implements EngineStatsSource: per-cell engine counters
+// keyed like Metrics. Nil unless the
 // run captured them (GateEngine).
 func (r *ClusterResult) EngineStats() map[string]int64 {
 	var m map[string]int64

@@ -28,6 +28,19 @@ const (
 	Full
 )
 
+// ParseScale maps the CLI spelling of a scale to its value. Anything but
+// "quick" or "full" is an error, so a misspelt scale never silently runs
+// quick.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	}
+	return Quick, fmt.Errorf("unknown scale %q (want quick or full)", s)
+}
+
 func (s Scale) class() npb.Class {
 	if s == Quick {
 		return npb.ClassT

@@ -155,3 +155,34 @@ func TestScaleClass(t *testing.T) {
 		t.Error("scale->class mapping wrong")
 	}
 }
+
+// TestParseScale pins the one scale parser both CLIs call: only the exact
+// spellings "quick" and "full" are accepted, so a misspelt or miscased
+// scale is a usage error rather than a silent quick run.
+func TestParseScale(t *testing.T) {
+	cases := []struct {
+		in      string
+		want    Scale
+		wantErr bool
+	}{
+		{"quick", Quick, false},
+		{"full", Full, false},
+		{"Full", 0, true},
+		{"QUICK", 0, true},
+		{"bogus", 0, true},
+		{"", 0, true},
+		{" full", 0, true},
+	}
+	for _, c := range cases {
+		got, err := ParseScale(c.in)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("ParseScale(%q) = %v, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}

@@ -1,15 +1,14 @@
 package experiments
 
-// Stat gates switch on optional, potentially large or driver-dependent
-// counter families in the -json report. They share one registry so every
+// Stat gates switch on optional, potentially large or host-side counter
+// families in the -json report. They share one registry so every
 // CLI flag (-engine-stats, -worker-stats, -tenant-stats) goes through the
 // same mechanism and new families need no new package variable. Gated
 // counters appear only in the machine-readable JSON, never in the
-// rendered report, which must stay small and engine-independent.
+// rendered report, which must stay small.
 const (
-	// GateEngine captures per-run simulation-driver counters (serial vs.
-	// domain segments, phase widths, parks). Deterministic for a fixed
-	// driver but legitimately different between -engine=seq and par.
+	// GateEngine captures per-run simulation-engine counters (segments,
+	// goroutine switches, segment cycles).
 	GateEngine = "engine"
 	// GateWorker emits per-worker counters from the production redis
 	// server (ops, futex waits, fsync batches). Off by default so the

@@ -16,12 +16,11 @@ type CycleMetrics interface {
 }
 
 // EngineStatsSource is optionally implemented by experiment results that
-// can export the simulation driver's own counters (serial vs. domain
-// segments, phase widths, parks). Unlike Metrics these describe the
-// driver, not the simulation: they are deterministic for a fixed driver
-// but legitimately differ between -engine=seq and -engine=par, so they
-// are captured only when StatGate(GateEngine) is set and are kept out of
-// Metrics and the rendered report, which must be engine-independent.
+// can export the simulation engine's own counters (segments, goroutine
+// switches, segment cycles). Unlike Metrics these describe the host
+// driver, not the simulation, so they are captured only when
+// StatGate(GateEngine) is set and are kept out of Metrics and the rendered
+// report.
 type EngineStatsSource interface {
 	EngineStats() map[string]int64
 }
@@ -39,8 +38,8 @@ type JSONOutcome struct {
 	// Metrics holds the experiment's simulated cycle counts and counters
 	// when the result type exports them (CycleMetrics).
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-	// EngineStats holds driver counters when -engine-stats is set and the
-	// result exports them (EngineStatsSource). Driver-dependent by design.
+	// EngineStats holds engine counters when -engine-stats is set and the
+	// result exports them (EngineStatsSource).
 	EngineStats map[string]int64 `json:"engine_stats,omitempty"`
 }
 

@@ -43,7 +43,7 @@ type RedisprodRow struct {
 	FS       vfs.Stats
 	Messages int64
 	// Engine holds the cluster engine's driver counters when
-	// StatGate(GateEngine) was set (driver-dependent, never rendered).
+	// StatGate(GateEngine) was set (host-side, never rendered).
 	Engine map[string]int64
 }
 
@@ -325,7 +325,7 @@ func (r *RedisprodResult) Metrics() map[string]int64 {
 	return m
 }
 
-// EngineStats implements EngineStatsSource: per-cell driver counters,
+// EngineStats implements EngineStatsSource: per-cell engine counters,
 // keyed like Metrics. Nil unless the run captured them.
 func (r *RedisprodResult) EngineStats() map[string]int64 {
 	var m map[string]int64

@@ -463,7 +463,7 @@ func (r *TenantsResult) Metrics() map[string]int64 {
 	return m
 }
 
-// EngineStats implements EngineStatsSource: per-cell driver counters,
+// EngineStats implements EngineStatsSource: per-cell engine counters,
 // keyed like Metrics. Nil unless the run captured them.
 func (r *TenantsResult) EngineStats() map[string]int64 {
 	var m map[string]int64

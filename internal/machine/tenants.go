@@ -15,7 +15,6 @@ import (
 //	"file:/t0"  — files whose path starts with /t0 (open/create/unlink)
 //	"file"      — the whole namespace (prefix "")
 //	"sock"      — listen/connect (per-port handles derive from this)
-//	"net"       — claim the machine's NIC
 //	"spawn"     — clone new tasks
 //	"futex"     — futex wait/wake
 //	"vma"       — anonymous mmap
@@ -34,15 +33,13 @@ func parseGrant(g string) (cap.Kind, string, error) {
 	switch kind {
 	case "file":
 		return cap.File, scope, nil
-	case "sock", "net", "spawn", "futex", "vma":
+	case "sock", "spawn", "futex", "vma":
 		if scope != "" {
 			return 0, "", fmt.Errorf("grant %q takes no scope", g)
 		}
 		switch kind {
 		case "sock":
 			return cap.Sock, "", nil
-		case "net":
-			return cap.Net, "", nil
 		case "spawn":
 			return cap.Spawn, "", nil
 		case "futex":

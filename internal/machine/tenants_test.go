@@ -30,6 +30,7 @@ func TestTenantConfigValidate(t *testing.T) {
 		{"share over 100", []TenantSpec{{Name: "a", Budget: cap.Budget{CPUShare: 101}}}, "Tenants[0].Budget.CPUShare"},
 		{"negative share", []TenantSpec{{Name: "a", Budget: cap.Budget{CPUShare: -5}}}, "Tenants[0].Budget.CPUShare"},
 		{"unknown grant", []TenantSpec{{Name: "a", Grants: []string{"disk:/x"}}}, "Tenants[0].Grants"},
+		{"retired net grant", []TenantSpec{{Name: "a", Grants: []string{"net"}}}, "Tenants[0].Grants"},
 		{"scoped futex grant", []TenantSpec{{Name: "a", Grants: []string{"futex:/x"}}}, "Tenants[0].Grants"},
 	}
 	for _, tc := range cases {
@@ -50,7 +51,7 @@ func TestTenantConfigValidate(t *testing.T) {
 	cfg := base
 	cfg.Tenants = []TenantSpec{
 		{Name: "a", Budget: cap.Budget{Frames: 64, CacheFrames: 8, CPUShare: 50},
-			Grants: []string{"file:/a", "file", "sock", "net", "spawn", "futex", "vma"}},
+			Grants: []string{"file:/a", "file", "sock", "spawn", "futex", "vma"}},
 		{Name: "b"},
 	}
 	m, err := New(cfg)
@@ -140,13 +141,13 @@ func TestTenantRootDifferential(t *testing.T) {
 	}
 }
 
-// tenantSockRevokeScenario blocks a tenant server in SocketAccept with no
-// client in sight, then revokes its socket grant from a root task: the
-// accept must fail with a typed Revoked error instead of sleeping
-// forever, under either engine driver.
-func tenantSockRevokeScenario(t *testing.T, engine EngineKind) {
+// TestTenantRevokeWhileBlockedSocket blocks a tenant server in
+// SocketAccept with no client in sight, then revokes its socket grant from
+// a root task: the accept must fail with a typed Revoked error instead of
+// sleeping forever.
+func TestTenantRevokeWhileBlockedSocket(t *testing.T) {
 	mk := func(tenants []TenantSpec) Config {
-		return Config{Model: mem.Shared, OS: StramashOS, Engine: engine, Tenants: tenants}
+		return Config{Model: mem.Shared, OS: StramashOS, Tenants: tenants}
 	}
 	srvTen := []TenantSpec{{Name: "srv", Grants: []string{"sock"}}}
 	cl, err := NewCluster([]Config{mk(srvTen), mk(nil)}, net.DefaultFabricConfig())
@@ -202,14 +203,6 @@ func tenantSockRevokeScenario(t *testing.T, engine EngineKind) {
 	if ten.Stats.Revocations != 2 {
 		t.Errorf("tenant revocations = %d, want 2", ten.Stats.Revocations)
 	}
-}
-
-func TestTenantRevokeWhileBlockedSocket(t *testing.T) {
-	tenantSockRevokeScenario(t, EngineSeq)
-}
-
-func TestTenantRevokeWhileBlockedSocketPar(t *testing.T) {
-	tenantSockRevokeScenario(t, EnginePar)
 }
 
 // TestTenantProcessReuseAcrossTenants rejects sharing one process between

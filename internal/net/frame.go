@@ -6,9 +6,9 @@
 // kernel's socket syscalls are built.
 //
 // Everything here follows the determinism contract of the rest of the
-// simulator: every cross-machine effect runs inside a BeginSerial section,
-// frame arbitration at the switch is a function of simulated time only, and
-// tracing is observation-only. The layering mirrors the CSP-style Go kernel
+// simulator: every cross-machine effect runs on the engine's single
+// execution token, frame arbitration at the switch is a function of
+// simulated time only, and tracing is observation-only. The layering mirrors the CSP-style Go kernel
 // network stack split (socket / transport / device) with the interconnect
 // package's ring + doorbell idiom as the device layer.
 package net

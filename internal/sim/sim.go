@@ -9,12 +9,12 @@
 // interactions (atomics, IPIs, futex wake-ups) is a deterministic function of
 // the simulated timeline, never of host goroutine scheduling.
 //
-// Under the sequential driver (Run) there is no scheduler loop between
-// segments: the thread holding the single execution token picks its own
-// successor at every yield point, block and exit, and hands the token
-// straight to it — or keeps running, without any goroutine switch, when it
-// is still first in (clock, ID) order. Run only grants the first segment
-// and waits until no thread is runnable or one has failed.
+// There is no scheduler loop between segments: the thread holding the single
+// execution token picks its own successor at every yield point, block and
+// exit, and hands the token straight to it — or keeps running, without any
+// goroutine switch, when it is still first in (clock, ID) order. Run only
+// grants the first segment and waits until no thread is runnable or one has
+// failed.
 package sim
 
 import (
@@ -63,12 +63,6 @@ func (k Clock) FromNanos(ns float64) Cycles {
 // ThreadID identifies a simulated thread within an Engine.
 type ThreadID int
 
-// GlobalDomain marks a thread that may touch any simulated state (boot,
-// setup, service threads). The parallel driver never runs such threads
-// concurrently with anything else; the sequential driver ignores domains
-// entirely.
-const GlobalDomain = -1
-
 // threadState is the lifecycle state of a simulated thread.
 type threadState int
 
@@ -96,10 +90,8 @@ func (s threadState) String() string {
 // Thread is a simulated thread of execution. The body function runs on its
 // own goroutine but only while it holds the (single) execution token, so at
 // most one simulated thread executes at a time and the simulation stays
-// deterministic. Under Run a thread that stops — yields, blocks or exits —
-// hands the token directly to its successor in (clock, ID) order; under
-// RunParallel it returns the token to the driver, which grants the next
-// segment.
+// deterministic. A thread that stops — yields, blocks or exits — hands the
+// token directly to its successor in (clock, ID) order.
 type Thread struct {
 	ID   ThreadID
 	Name string
@@ -113,7 +105,6 @@ type Thread struct {
 	sinceYield Cycles
 
 	resume chan struct{} // token holder -> thread: you may run
-	yield  chan struct{} // thread -> parallel driver: I stopped running
 
 	// atomicDepth suppresses scheduler yields while > 0 (BeginAtomic).
 	atomicDepth int
@@ -138,90 +129,13 @@ type Thread struct {
 	blockReason string
 	err         error
 
-	// domain is the clock domain the thread belongs to (a node index for
-	// task threads, GlobalDomain for boot/setup threads). Only the parallel
-	// driver reads it: threads of different domains may run concurrently on
-	// host goroutines between cross-domain interaction points.
-	domain int
-	// local is true while the parallel driver is running this thread inside
-	// a domain-parallel phase: the thread holds its domain's token, not the
-	// global one, and must confine itself to domain-private state. Code
-	// reaching a cross-domain effect point calls CrossDomain, which parks
-	// the thread until the driver re-grants it the global token.
-	local bool
-	// parked is true between a CrossDomain call and the serial re-grant.
-	parked bool
-	// serialDepth counts open BeginSerial sections. While positive the
-	// thread must only ever be granted serially — a mid-section yield
-	// (quantum expiry, futex sleep) must not hand it back inside a later
-	// domain-parallel phase, because the rest of the section still touches
-	// cross-domain state.
-	serialDepth int
 	// segKey is the thread's clock at the moment its current run segment was
-	// granted. The sequential engine orders segments by (clock at grant, ID);
-	// the parallel driver serializes parked cross-domain continuations in
-	// exactly that key order, which is what makes the two drivers agree.
+	// granted; the cycles advanced since then are the segment's length.
 	segKey Cycles
 }
 
 // Now returns the thread's local simulated time.
 func (t *Thread) Now() Cycles { return t.now }
-
-// Domain returns the thread's clock domain.
-func (t *Thread) Domain() int { return t.domain }
-
-// SetDomain assigns the thread to a clock domain. It must be called while
-// the engine is idle, from a serially-running thread (migration runs under
-// the global token), or on the thread itself — never from another domain's
-// parallel phase.
-func (t *Thread) SetDomain(d int) { t.domain = d }
-
-// InLocal reports whether the thread currently holds only its domain token
-// (parallel driver, domain-parallel phase). Code on the hot path uses it to
-// choose between the domain-confined fast path and a CrossDomain bailout.
-// Under the sequential driver it is always false.
-func (t *Thread) InLocal() bool { return t.local }
-
-// CrossDomain is the cross-domain effect point: a no-op under the
-// sequential driver (and for serially-granted threads), but under the
-// parallel driver's domain phase it parks the thread until the driver has
-// quiesced every domain and re-grants this thread the global execution
-// token, in segment-key order. After it returns the thread may touch any
-// simulated state until its next YieldPoint.
-//
-// Instrumented code must call it before mutating any shared state and
-// before charging any cycles for the operation that needs it, so the
-// operation re-executes from a clean slate under the global token.
-func (t *Thread) CrossDomain() {
-	if !t.local {
-		return
-	}
-	t.local = false
-	t.parked = true
-	t.pass()
-	t.parked = false
-}
-
-// BeginSerial opens a serial section: the thread parks out of any
-// domain-parallel phase immediately (CrossDomain) and, until the matching
-// EndSerial, the parallel driver will only ever grant it under the global
-// token — even across yields and blocks inside the section. Use it to
-// bracket whole operations on cross-domain state (a file syscall, a fault,
-// a migration); use bare CrossDomain only when every shared touch happens
-// before the next possible yield. Sections nest. Under the sequential
-// driver both calls are near-free no-ops.
-func (t *Thread) BeginSerial() {
-	t.serialDepth++
-	t.CrossDomain()
-}
-
-// EndSerial closes a BeginSerial section.
-func (t *Thread) EndSerial() {
-	if t.serialDepth == 0 {
-		panic(fmt.Sprintf("sim: thread %q EndSerial without BeginSerial", t.Name))
-	}
-	t.serialDepth--
-}
 
 // Advance consumes d cycles of simulated time on this thread. If the thread
 // has consumed more than the engine quantum since it last yielded, it hands
@@ -332,22 +246,15 @@ func (t *Thread) Block(reason string) {
 }
 
 // pass ends the thread's segment — t.state already says whether it yielded,
-// blocked or exited — and gives up the execution token. Under Run the thread
-// hands the token on itself (handOff); under RunParallel it returns it to the
-// driver. pass returns once the thread holds the token again, or at once for
-// an exiting thread.
+// blocked or exited — and hands the execution token on (handOff). pass
+// returns once the thread holds the token again, or at once for an exiting
+// thread.
 func (t *Thread) pass() {
 	exiting := t.state == stateDone
-	if t.eng.direct {
-		if t.eng.handOff(t) {
-			return
-		}
-	} else {
-		t.yield <- struct{}{}
+	if t.eng.handOff(t) || exiting {
+		return
 	}
-	if !exiting {
-		<-t.resume
-	}
+	<-t.resume
 }
 
 // Engine owns a set of simulated threads and runs them deterministically.
@@ -363,21 +270,16 @@ type Engine struct {
 	// simulated clock, so tracing cannot perturb the schedule.
 	Tracer trace.Tracer
 
-	// Stats accumulates host-side driver counters across runs. They are
-	// deterministic but driver-dependent; see EngineStats.
+	// Stats accumulates host-side counters across runs; see EngineStats.
 	Stats EngineStats
 
 	threads []*Thread
 	lastRun ThreadID
 	running bool
-	// direct is set while Run drives the engine: token holders hand the
-	// token thread to thread, and wake Run through stopped — with the thread
-	// that failed, or nil when no thread is runnable.
-	direct  bool
+	// stopped wakes Run once the token holders are done handing the token
+	// thread to thread: it carries the thread that failed, or nil when no
+	// thread is runnable.
 	stopped chan *Thread
-
-	// phaseDomains is the parallel driver's reusable phase scratch.
-	phaseDomains []int
 }
 
 // NewEngine returns an engine with the default scheduling quantum.
@@ -395,9 +297,7 @@ func (e *Engine) Spawn(name string, start Cycles, body func(t *Thread)) *Thread 
 		eng:    e,
 		state:  stateRunnable,
 		now:    start,
-		domain: GlobalDomain,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	e.threads = append(e.threads, t)
 	if tr := e.Tracer; tr != nil {
@@ -451,8 +351,8 @@ func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: engine already running")
 	}
-	e.running, e.direct = true, true
-	defer func() { e.running, e.direct = false, false }()
+	e.running = true
+	defer func() { e.running = false }()
 
 	if first := e.pickNext(); first != nil {
 		e.grant(first)
@@ -466,8 +366,8 @@ func (e *Engine) Run() error {
 	return e.deadlockErr()
 }
 
-// handOff is the sequential driver's scheduling step, run by the token
-// holder t when its segment ends. It closes the segment, picks the next one
+// handOff is the engine's scheduling step, run by the token holder t when
+// its segment ends. It closes the segment, picks the next one
 // exactly as a driver loop would, and reports whether that is t itself — in
 // which case t simply keeps running. Otherwise it resumes the successor's
 // goroutine, or wakes Run when t failed or no thread is runnable.
@@ -498,7 +398,7 @@ func (e *Engine) grant(t *Thread) {
 	t.resume <- struct{}{}
 }
 
-// openSegment records the start of t's next segment under Run: the context
+// openSegment records the start of t's next segment: the context
 // switch trace event when a different thread ran last, and the segment key.
 func (e *Engine) openSegment(t *Thread) {
 	if tr := e.Tracer; tr != nil && t.ID != e.lastRun {

@@ -1,73 +1,46 @@
 package sim
 
-// EngineStats counts how a driver spent its grants. All counters are
+// EngineStats counts how the engine spent its grants. All counters are
 // host-side observability state: simulated code never reads them, so
 // collecting them cannot perturb the schedule. They are deterministic —
 // every segment boundary is a pure function of simulated clocks — but they
-// are *driver-dependent* (the sequential driver reports everything as
-// serial segments and no phases), so they must never leak into experiment
-// Metrics() or rendered output, which the engine-differential battery
-// requires to be byte-identical across drivers.
+// describe the host driver rather than the model, so they stay out of
+// experiment Metrics() and rendered output.
 type EngineStats struct {
-	// SerialSegments counts segments granted under the global token out of
-	// necessity: parked cross-domain continuations, global-domain threads,
-	// and threads inside an open BeginSerial section.
+	// SerialSegments counts segments granted: every run of a thread from one
+	// yield point, block or start to the next.
 	SerialSegments int64
-	// SoloSegments counts segments granted serially because at most one
-	// clock domain had runnable work — there was no host parallelism to
-	// lose, so the driver skipped the domain-phase machinery (and its park
-	// hand-offs) entirely.
-	SoloSegments int64
-	// DomainSegments counts segments granted inside domain-parallel phases.
-	DomainSegments int64
-	// Parks counts CrossDomain parks: a domain-phase thread hitting a
-	// cross-domain effect point and handing off to the serial phase.
-	Parks int64
-	// Phases counts domain-parallel phases opened.
-	Phases int64
-	// PhaseDomains sums the domains run across all phases, so
-	// PhaseDomains/Phases is the mean phase width (the host-parallelism
-	// actually available, as opposed to configured).
-	PhaseDomains int64
-	// MaxPhaseWidth is the most domains ever run concurrently in one phase.
-	MaxPhaseWidth int64
 	// Switches counts grants that resumed a different goroutine — the host
-	// cost of the hand-offs. The parallel driver resumes a thread for every
-	// grant; under Run a thread that is still first in (clock, ID) order
-	// when its segment ends keeps running, and only a hand-off to another
-	// thread (or Run's first grant) is a switch.
+	// cost of the hand-offs. A thread that is still first in (clock, ID)
+	// order when its segment ends keeps running, and only a hand-off to
+	// another thread (or Run's first grant) is a switch.
 	Switches int64
-	// SerialCycles, SoloCycles and DomainCycles attribute simulated cycles
-	// advanced to the grant kind they were advanced under. DomainCycles is
-	// the work that ran (or could have run) concurrently on host cores.
+	// SerialCycles sums the simulated cycles advanced within segments.
 	SerialCycles Cycles
-	SoloCycles   Cycles
-	DomainCycles Cycles
+
+	// SoloSegments, DomainSegments, Parks, Phases, PhaseDomains, SoloCycles
+	// and DomainCycles are always zero. They counted the grants of a
+	// host-parallel driver that no longer exists, and are kept only because
+	// the benchmark's counter reader still reads them.
+	SoloSegments   int64
+	DomainSegments int64
+	Parks          int64
+	Phases         int64
+	PhaseDomains   int64
+	SoloCycles     Cycles
+	DomainCycles   Cycles
 }
 
-// Handoffs returns the total segments granted, of every kind. Under
-// RunParallel each costs a resume / yield channel round trip on the host;
-// under Run only Switches of them resume another goroutine.
-func (s EngineStats) Handoffs() int64 {
-	return s.SerialSegments + s.SoloSegments + s.DomainSegments
-}
+// Handoffs returns the total segments granted. Only Switches of them resume
+// another goroutine.
+func (s EngineStats) Handoffs() int64 { return s.SerialSegments }
 
 // Add accumulates o into s (cluster experiments aggregate one engine per
 // cell into a per-row total).
 func (s *EngineStats) Add(o EngineStats) {
 	s.SerialSegments += o.SerialSegments
-	s.SoloSegments += o.SoloSegments
-	s.DomainSegments += o.DomainSegments
-	s.Parks += o.Parks
 	s.Switches += o.Switches
-	s.Phases += o.Phases
-	s.PhaseDomains += o.PhaseDomains
-	if o.MaxPhaseWidth > s.MaxPhaseWidth {
-		s.MaxPhaseWidth = o.MaxPhaseWidth
-	}
 	s.SerialCycles += o.SerialCycles
-	s.SoloCycles += o.SoloCycles
-	s.DomainCycles += o.DomainCycles
 }
 
 // Map flattens the counters for machine-readable export (stramash-bench
@@ -75,16 +48,8 @@ func (s *EngineStats) Add(o EngineStats) {
 func (s EngineStats) Map() map[string]int64 {
 	return map[string]int64{
 		"serial_segments": s.SerialSegments,
-		"solo_segments":   s.SoloSegments,
-		"domain_segments": s.DomainSegments,
-		"parks":           s.Parks,
 		"switches":        s.Switches,
-		"phases":          s.Phases,
-		"phase_domains":   s.PhaseDomains,
-		"max_phase_width": s.MaxPhaseWidth,
 		"serial_cycles":   int64(s.SerialCycles),
-		"solo_cycles":     int64(s.SoloCycles),
-		"domain_cycles":   int64(s.DomainCycles),
 		"handoffs":        s.Handoffs(),
 	}
 }

@@ -183,7 +183,7 @@ const (
 type (
 	// TenantSpec declares one tenant in MachineConfig.Tenants: name,
 	// budget, and textual capability grants ("file:/prefix", "sock",
-	// "net", "spawn", "futex", "vma").
+	// "spawn", "futex", "vma").
 	TenantSpec = machine.TenantSpec
 	// TenantBudget is a tenant's resource envelope; zero fields mean
 	// unlimited.
@@ -223,8 +223,6 @@ const (
 	CapFutexKind = cap.Futex
 	// CapSpawnKind guards clone.
 	CapSpawnKind = cap.Spawn
-	// CapNetKind guards claiming the machine's NIC.
-	CapNetKind = cap.Net
 )
 
 // Clusters. Several machines join one deterministically-arbitrated switch
