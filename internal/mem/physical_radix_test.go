@@ -42,10 +42,10 @@ func TestPhysicalMatchesShadowModel(t *testing.T) {
 			// straddles, and far addresses beyond the radix span (≥ 4 TiB).
 			bases := []PhysAddr{
 				0x0, 0x1000, PageSize - 3, // page straddle
-				1536 << 20,                            // arm-low start
-				(4 << 30) - 5,                         // region boundary straddle
-				6 << 30,                               // arm-high
-				(frameLeafSize << PageShift) - 2,      // radix leaf boundary
+				1536 << 20,                       // arm-low start
+				(4 << 30) - 5,                    // region boundary straddle
+				6 << 30,                          // arm-high
+				(frameLeafSize << PageShift) - 2, // radix leaf boundary
 				PhysAddr(farRootLimit) << (PageShift + frameLeafBits),       // first far frame
 				(PhysAddr(farRootLimit) << (PageShift + frameLeafBits)) + 7, // far, offset
 			}
@@ -153,13 +153,13 @@ func TestTouchedFramesCountsRadixAndFar(t *testing.T) {
 	if p.TouchedFrames() != 0 {
 		t.Fatalf("fresh Physical has %d touched frames", p.TouchedFrames())
 	}
-	p.Write64(0x0, 1)        // frame 0
-	p.Write64(0x10, 2)       // same frame
-	p.Write64(PageSize, 3)   // frame 1
-	p.Write64(6<<30, 4)      // distant radix frame
+	p.Write64(0x0, 1)      // frame 0
+	p.Write64(0x10, 2)     // same frame
+	p.Write64(PageSize, 3) // frame 1
+	p.Write64(6<<30, 4)    // distant radix frame
 	far := PhysAddr(farRootLimit) << (PageShift + frameLeafBits)
-	p.Write64(far, 5)        // far map frame
-	p.Write64(far+8, 6)      // same far frame
+	p.Write64(far, 5)   // far map frame
+	p.Write64(far+8, 6) // same far frame
 	if got := p.TouchedFrames(); got != 4 {
 		t.Fatalf("TouchedFrames = %d, want 4", got)
 	}

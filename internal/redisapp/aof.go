@@ -12,24 +12,18 @@ import (
 // AOF record wire format, length-prefixed so a crash mid-append leaves a
 // detectably-truncated tail rather than a silently corrupt log:
 //
-//	len(4) | cmd(1) | klen(4) | vlen(4) | key... | val...
+//	len(4) | request
 //
-// where len counts everything after itself (9 + klen + vlen). Records
-// hold the wire-level command as received — replay runs them through the
-// same netExecute path as live traffic, so derived-key prefixes, SADD
-// member truncation and MSET fan-out are reproduced rather than re-encoded.
-const aofRecHdr = 9
+// where request is the codec's cmd|klen|vlen|key|val and len counts its
+// bytes. Records hold the wire-level command as received — replay runs
+// them through the same netExecute path as live traffic, so derived-key
+// prefixes, SADD member truncation and MSET fan-out are reproduced rather
+// than re-encoded.
 
-// encodeAOFRecord serializes one mutation.
-func encodeAOFRecord(cmd Command, key, val []byte) []byte {
-	b := make([]byte, 4+aofRecHdr+len(key)+len(val))
-	binary.LittleEndian.PutUint32(b[0:4], uint32(aofRecHdr+len(key)+len(val)))
-	b[4] = byte(cmd)
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(key)))
-	binary.LittleEndian.PutUint32(b[9:13], uint32(len(val)))
-	copy(b[13:], key)
-	copy(b[13+len(key):], val)
-	return b
+// appendAOFRecord appends one mutation record to b.
+func appendAOFRecord(b []byte, cmd Command, key, val []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(reqHdr+len(key)+len(val)))
+	return appendRequest(b, cmd, key, val)
 }
 
 // decodeAOFRecord pulls one record off the front of buf. ok=false with a
@@ -37,24 +31,19 @@ func encodeAOFRecord(cmd Command, key, val []byte) []byte {
 // after a crash); a header that cannot be valid at any length is
 // corruption and errors.
 func decodeAOFRecord(buf []byte) (cmd Command, key, val, rest []byte, ok bool, err error) {
-	if len(buf) < 4+aofRecHdr {
+	if len(buf) < 4+reqHdr {
 		return 0, nil, nil, buf, false, nil
 	}
 	rlen := int(binary.LittleEndian.Uint32(buf[0:4]))
-	cmd = Command(buf[4])
-	klen := int(binary.LittleEndian.Uint32(buf[5:9]))
-	vlen := int(binary.LittleEndian.Uint32(buf[9:13]))
-	if cmd < CmdGet || cmd > CmdMSet || klen <= 0 || klen > maxNetKey || vlen < 0 || vlen > maxNetVal ||
-		rlen != aofRecHdr+klen+vlen {
-		return 0, nil, nil, buf, false,
-			fmt.Errorf("redisapp: corrupt AOF record (len=%d cmd=%d klen=%d vlen=%d)", rlen, cmd, klen, vlen)
+	cmd, klen, vlen, err := parseRequestHeader(buf[4:])
+	if err == nil && rlen != reqHdr+klen+vlen {
+		err = fmt.Errorf("redisapp: corrupt AOF record (len=%d, request %d bytes)", rlen, reqHdr+klen+vlen)
 	}
-	if len(buf) < 4+rlen {
-		return 0, nil, nil, buf, false, nil
+	if err != nil || len(buf) < 4+rlen {
+		return 0, nil, nil, buf, false, err
 	}
-	key = buf[13 : 13+klen]
-	val = buf[13+klen : 13+klen+vlen]
-	return cmd, key, val, buf[4+rlen:], true, nil
+	req := buf[4+reqHdr : 4+rlen]
+	return cmd, req[:klen], req[klen:], buf[4+rlen:], true, nil
 }
 
 // mutatesStore reports whether a command's effect must be logged. Pops
@@ -75,10 +64,9 @@ func mutatesStore(cmd Command, miss int) bool {
 // when it reaches GroupK records or GroupQ cycles have passed since the
 // last flush — redis's "appendfsync everysec" shape, but measured in
 // simulated time so the policy is a pure function of the cycle clock and
-// the command stream (identical under the sequential and parallel
-// engines). Each worker owns its own aofLog over its own descriptor; the
-// file itself is opened with OAppend, so concurrent batch writes land as
-// atomic appends.
+// the command stream. Each worker owns its own aofLog over its own
+// descriptor; the file itself is opened with OAppend, so concurrent batch
+// writes land as atomic appends.
 type aofLog struct {
 	fd        int
 	staged    []byte
@@ -116,7 +104,7 @@ func openAOF(t *kernel.Task, path string, k int, q sim.Cycles) (*aofLog, error) 
 // Append stages one mutation record and flushes if the group-commit
 // policy says so.
 func (l *aofLog) Append(t *kernel.Task, cmd Command, key, val []byte) error {
-	l.staged = append(l.staged, encodeAOFRecord(cmd, key, val)...)
+	l.staged = appendAOFRecord(l.staged, cmd, key, val)
 	l.stagedRec++
 	l.Records++
 	if l.stagedRec >= l.GroupK || t.Th.Now()-l.lastFlush >= l.GroupQ {

@@ -47,9 +47,9 @@ func (e *StoreError) Error() string {
 	return fmt.Sprintf("redisapp: %s: %v (%d > limit %d)", e.Op, e.Kind, e.Size, e.Limit)
 }
 
-// ParamError reports an invalid benchmark or traffic parameter, mirroring
-// machine.ConfigError: the field, the offending value, and why it is
-// rejected — checked up front so a bad shape fails fast instead of
+// ParamError reports an invalid benchmark, traffic or server parameter,
+// mirroring machine.ConfigError: the field, the offending value, and why
+// it is rejected — checked up front so a bad shape fails fast instead of
 // livelocking or corrupting a run deep inside the simulation.
 type ParamError struct {
 	Field  string

@@ -115,31 +115,13 @@ func NewStoreLocked(t *kernel.Task, store *Store, nLocks int) (*StoreLocked, err
 	return ks, nil
 }
 
-// derivedKeys lists every store key a command touches — the execute paths
-// prefix list/set/mset keys, so the lock set must be computed from the
-// same derived names, not the wire key.
-func derivedKeys(cmd Command, key []byte) [][]byte {
-	switch cmd {
-	case CmdLPush, CmdRPush, CmdLPop, CmdRPop:
-		return [][]byte{append([]byte("l:"), key...)}
-	case CmdSAdd:
-		return [][]byte{append([]byte("s:"), key...)}
-	case CmdMSet:
-		ks := make([][]byte, 0, 4)
-		for j := 0; j < 4; j++ {
-			ks = append(ks, append([]byte(fmt.Sprintf("m%d:", j)), key...))
-		}
-		return ks
-	}
-	return [][]byte{key}
-}
-
-// stripesFor maps cmd's derived keys to a deduplicated ascending list of
-// lock indices. Striping is by bucket — two keys in one hash bucket share
-// a chain, so they must share a lock — then buckets fold onto the stripe
-// array.
+// stripesFor maps the store keys cmd touches (storeKeys, the executor's
+// own derivation) to a deduplicated ascending list of lock indices.
+// Striping is by bucket — two keys in one hash bucket share a chain, so
+// they must share a lock — then buckets fold onto the stripe array.
 func (ks *StoreLocked) stripesFor(t *kernel.Task, cmd Command, key []byte) []int {
-	dks := derivedKeys(cmd, key)
+	var kbuf [4][]byte
+	dks := storeKeys(kbuf[:0], cmd, key)
 	stripes := make([]int, 0, len(dks))
 	for _, dk := range dks {
 		bucket := int(hashKey(t, dk) % uint64(ks.store.nBuckets))

@@ -1,13 +1,14 @@
 package redisapp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/net"
-	"repro/internal/sim"
 )
 
 func newTestCluster(t testing.TB, os machine.OSKind, model mem.Model, machines int) *machine.Cluster {
@@ -109,28 +110,136 @@ func BenchmarkClusterBench(b *testing.B) {
 	}
 }
 
-// TestDecodeRequestRejectsCorruptHeaders exercises the stream decoder's
-// bounds checks (the satellite hardening shared with the ring server).
+// rawReqHdr and rawRespHdr build headers with arbitrary field values,
+// bypassing the codec's encoders.
+func rawReqHdr(cmd byte, klen, vlen uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32([]byte{cmd}, klen), vlen)
+}
+
+func rawRespHdr(status byte, plen uint32) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{status}, plen)
+}
+
+// TestDecodeRequestRejectsCorruptHeaders runs the same good and corrupt
+// request and response headers through every framing built on the codec:
+// the socket stream, the AOF, the production worker rings and the Figure
+// 14 RX slot. Each must accept the good message and reject every corrupt
+// header before it reads a body.
 func TestDecodeRequestRejectsCorruptHeaders(t *testing.T) {
-	good := encodeRequest(CmdSet, []byte("k"), []byte("v"))
-	if _, _, _, _, ok, err := decodeRequest(good); err != nil || !ok {
-		t.Fatalf("good request rejected: ok=%v err=%v", ok, err)
+	goodReq := appendRequest(nil, CmdSet, []byte("k"), []byte("v"))
+	goodResp := appendResponse(nil, 1, []byte("v"))
+	badReqs := []struct {
+		name string
+		hdr  []byte
+	}{
+		{"cmd 0", rawReqHdr(0, 1, 0)},
+		{"cmd 9", rawReqHdr(9, 1, 0)},
+		{"klen 0", rawReqHdr(1, 0, 0)},
+		{"klen 513", rawReqHdr(1, maxNetKey+1, 0)},
+		{"vlen 8193", rawReqHdr(2, 1, maxNetVal+1)},
 	}
-	corrupt := [][]byte{
-		{0, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},             // cmd 0
-		{99, 1, 0, 0, 0, 0, 0, 0, 0, 'k'},            // cmd out of range
-		{1, 0, 0, 0, 0, 0, 0, 0, 0},                  // klen 0
-		{1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0},      // klen huge
-		{2, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F, 'k'}, // vlen huge
+	badResps := []struct {
+		name string
+		hdr  []byte
+	}{
+		{"status 2", rawRespHdr(2, 0)},
+		{"plen 8193", rawRespHdr(1, maxNetVal+1)},
 	}
-	for i, b := range corrupt {
-		if _, _, _, _, _, err := decodeRequest(b); err == nil {
-			t.Fatalf("corrupt header %d accepted", i)
+	seq := binary.LittleEndian.AppendUint64(nil, 42)
+
+	m := newM(t, machine.VanillaOS)
+	_, err := m.RunSingle("framings", mem.NodeX86, func(task *kernel.Task) error {
+		ring, err := task.Proc.MmapAligned(prodRingCtl+prodSlotCap, 2<<20, kernel.VMARead|kernel.VMAWrite, "ring")
+		if err != nil {
+			return err
 		}
+		slot := ring + prodRingCtl
+		// load writes msg at the slot and publishes one entry at tail 0.
+		load := func(msg []byte) error {
+			if err := task.WriteBytes(slot, msg); err != nil {
+				return err
+			}
+			if err := task.Store(ring, 8, 1); err != nil {
+				return err
+			}
+			return task.Store(ring+64, 8, 0)
+		}
+		reqFramings := []struct {
+			name   string
+			decode func(msg []byte) (bool, error)
+		}{
+			{"stream", func(msg []byte) (bool, error) {
+				_, _, _, _, ok, err := decodeRequest(msg)
+				return ok, err
+			}},
+			{"aof", func(msg []byte) (bool, error) {
+				// len matches what the header declares, so only the
+				// header's own bounds can reject the record.
+				n := reqHdr + binary.LittleEndian.Uint32(msg[1:5]) + binary.LittleEndian.Uint32(msg[5:9])
+				rec := binary.LittleEndian.AppendUint32(nil, n)
+				_, _, _, _, ok, err := decodeAOFRecord(append(rec, msg...))
+				return ok, err
+			}},
+			{"prod slot", func(msg []byte) (bool, error) {
+				if err := load(append(seq, msg...)); err != nil {
+					return false, err
+				}
+				_, _, _, _, err := prodRingConsume(task, ring, 0)
+				return true, err
+			}},
+			{"fig14 slot", func(msg []byte) (bool, error) {
+				if err := task.WriteBytes(slot, msg); err != nil {
+					return false, err
+				}
+				_, _, _, err := readRXSlot(task, slot)
+				return true, err
+			}},
+		}
+		respFramings := []struct {
+			name   string
+			decode func(msg []byte) (bool, error)
+		}{
+			{"stream", func(msg []byte) (bool, error) {
+				_, _, _, ok, err := decodeResponse(msg)
+				return ok, err
+			}},
+			{"prod slot", func(msg []byte) (bool, error) {
+				if err := load(append(seq, msg...)); err != nil {
+					return false, err
+				}
+				_, _, _, ok, err := prodRingPop(task, ring)
+				return ok, err
+			}},
+		}
+		for _, f := range reqFramings {
+			if ok, err := f.decode(goodReq); !ok || err != nil {
+				t.Errorf("%s: good request not decoded: ok=%v err=%v", f.name, ok, err)
+			}
+			for _, b := range badReqs {
+				if _, err := f.decode(b.hdr); err == nil {
+					t.Errorf("%s: corrupt request header (%s) accepted", f.name, b.name)
+				}
+			}
+		}
+		for _, f := range respFramings {
+			if ok, err := f.decode(goodResp); !ok || err != nil {
+				t.Errorf("%s: good response not decoded: ok=%v err=%v", f.name, ok, err)
+			}
+			for _, b := range badResps {
+				if _, err := f.decode(b.hdr); err == nil {
+					t.Errorf("%s: corrupt response header (%s) accepted", f.name, b.name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, _, ok, err := decodeRequest(good[:5]); err != nil || ok {
+	if _, _, _, _, ok, err := decodeRequest(goodReq[:5]); err != nil || ok {
 		t.Fatalf("truncated request should want more bytes: ok=%v err=%v", ok, err)
 	}
-	var zero sim.Cycles
-	_ = zero
+	if _, _, _, ok, err := decodeResponse(goodResp[:3]); err != nil || ok {
+		t.Fatalf("truncated response should want more bytes: ok=%v err=%v", ok, err)
+	}
 }

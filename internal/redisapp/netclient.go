@@ -63,15 +63,8 @@ func (p TrafficParams) Validate(servers int) error {
 	if p.Clients <= 0 {
 		return &ParamError{Field: "Clients", Value: p.Clients, Reason: "must be positive"}
 	}
-	if p.PayloadBytes <= 0 {
-		return &ParamError{Field: "PayloadBytes", Value: p.PayloadBytes, Reason: "must be positive"}
-	}
-	if p.PayloadBytes > maxNetVal {
-		return &ParamError{Field: "PayloadBytes", Value: p.PayloadBytes,
-			Reason: fmt.Sprintf("exceeds stream value bound %d", maxNetVal)}
-	}
-	if p.Keys <= 0 {
-		return &ParamError{Field: "Keys", Value: p.Keys, Reason: "must be positive"}
+	if err := validateKeyspace(p.PayloadBytes, p.Keys); err != nil {
+		return err
 	}
 	if p.InterArrival < 0 {
 		return &ParamError{Field: "InterArrival", Value: p.InterArrival, Reason: "must not be negative"}
@@ -250,7 +243,7 @@ func GenerateTraffic(t *kernel.Task, servers []net.Addr, p TrafficParams) (Traff
 				if p.SetEvery > 0 && i%p.SetEvery == 0 {
 					cmd, val = CmdSet, valFor(bp, keyIdx[i])
 				}
-				batch = append(batch, encodeRequest(cmd, keyFor(bp, keyIdx[i]), val)...)
+				batch = appendRequest(batch, cmd, keyFor(bp, keyIdx[i]), val)
 				pend[s] = append(pend[s], pendReq{idx: i, arrival: arrival(i)})
 				res.Sent++
 				progress = true
@@ -342,9 +335,26 @@ type ClusterResult struct {
 // generator task on machine 0 fans open-loop traffic into one ServeNet
 // task per remaining machine, over sockets, NIC rings and the switch.
 func ClusterBench(cl *machine.Cluster, p TrafficParams) (ClusterResult, error) {
+	tr, per, err := runCluster(cl, p, "redis-net", func(t *kernel.Task, port uint16, expected int) (NetServerStats, error) {
+		return ServeNet(t, NetServerParams{
+			Port: port, Expected: expected,
+			PayloadBytes: p.PayloadBytes, Keys: p.Keys, Migrate: true,
+			ExtraCompute: p.ServerCompute,
+		})
+	})
+	return ClusterResult{Servers: len(per), Traffic: tr, PerServer: per}, err
+}
+
+// runCluster is the one cluster driver: it validates p, splits the
+// requests round-robin across machines 1..N, runs serve as task
+// "<name>-<s>" on each of them, and drives GenerateTraffic from machine 0.
+// serve gets its listening port and its share of the requests; per holds
+// each server's result.
+func runCluster[S any](cl *machine.Cluster, p TrafficParams, name string,
+	serve func(t *kernel.Task, port uint16, expected int) (S, error)) (tr TrafficResult, per []S, err error) {
 	nS := len(cl.Machines) - 1
 	if err := p.Validate(nS); err != nil {
-		return ClusterResult{}, err
+		return tr, nil, err
 	}
 	if p.Port == 0 {
 		p.Port = 6379
@@ -353,25 +363,19 @@ func ClusterBench(cl *machine.Cluster, p TrafficParams) (ClusterResult, error) {
 	for i := 0; i < p.Requests; i++ {
 		expected[i%nS]++
 	}
-	res := ClusterResult{Servers: nS, PerServer: make([]NetServerStats, nS)}
+	per = make([]S, nS)
 	specs := make([]machine.ClusterTask, 0, nS+1)
+	servers := make([]net.Addr, nS)
 	for s := 0; s < nS; s++ {
 		s := s
 		specs = append(specs, machine.ClusterTask{Mach: s + 1, TaskSpec: machine.TaskSpec{
-			Name: fmt.Sprintf("redis-net-%d", s), Origin: mem.NodeX86, KeepAlive: true,
+			Name: fmt.Sprintf("%s-%d", name, s), Origin: mem.NodeX86, KeepAlive: true,
 			Body: func(t *kernel.Task) error {
-				st, err := ServeNet(t, NetServerParams{
-					Port: p.Port, Expected: expected[s],
-					PayloadBytes: p.PayloadBytes, Keys: p.Keys, Migrate: true,
-					ExtraCompute: p.ServerCompute,
-				})
-				res.PerServer[s] = st
+				var err error
+				per[s], err = serve(t, p.Port, expected[s])
 				return err
 			},
 		}})
-	}
-	servers := make([]net.Addr, nS)
-	for s := range servers {
 		servers[s] = net.Addr{Mach: s + 1, Port: p.Port}
 	}
 	// The generator starts late enough that every server is listening
@@ -380,13 +384,11 @@ func ClusterBench(cl *machine.Cluster, p TrafficParams) (ClusterResult, error) {
 	specs = append(specs, machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{
 		Name: "loadgen", Origin: mem.NodeX86, KeepAlive: true, Start: 2000,
 		Body: func(t *kernel.Task) error {
-			tr, err := GenerateTraffic(t, servers, p)
-			res.Traffic = tr
+			var err error
+			tr, err = GenerateTraffic(t, servers, p)
 			return err
 		},
 	}})
-	if _, err := cl.RunTasks(specs...); err != nil {
-		return res, err
-	}
-	return res, nil
+	_, err = cl.RunTasks(specs...)
+	return tr, per, err
 }

@@ -1,7 +1,6 @@
 package redisapp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -9,80 +8,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
-
-// Stream wire format over TCP-lite sockets: requests reuse the RESP-lite
-// layout cmd(1)|klen(4)|vlen(4)|key|val; responses are
-// status(1)|plen(4)|payload (status 1 = ok, 0 = miss). Both sides decode
-// from a reassembly buffer, so requests may arrive split or coalesced
-// across frames.
-const (
-	respHdr = 5
-	// maxNetKey and maxNetVal bound the attacker-controlled length fields
-	// in the stream decoder; anything larger is a protocol error, not an
-	// allocation.
-	maxNetKey = 512
-	maxNetVal = 8192
-)
-
-// encodeRequest serializes one command for the socket path.
-func encodeRequest(cmd Command, key, val []byte) []byte {
-	b := make([]byte, reqHdr+len(key)+len(val))
-	b[0] = byte(cmd)
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(key)))
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(val)))
-	copy(b[reqHdr:], key)
-	copy(b[reqHdr+len(key):], val)
-	return b
-}
-
-// decodeRequest pulls one complete request off the front of buf. ok=false
-// with a nil error means more bytes are needed; a bounds violation in the
-// header is a protocol error.
-func decodeRequest(buf []byte) (cmd Command, key, val, rest []byte, ok bool, err error) {
-	if len(buf) < reqHdr {
-		return 0, nil, nil, buf, false, nil
-	}
-	cmd = Command(buf[0])
-	klen := int(binary.LittleEndian.Uint32(buf[1:5]))
-	vlen := int(binary.LittleEndian.Uint32(buf[5:9]))
-	if cmd < CmdGet || cmd > CmdMSet || klen <= 0 || klen > maxNetKey || vlen < 0 || vlen > maxNetVal {
-		return 0, nil, nil, buf, false,
-			fmt.Errorf("redisapp: corrupt stream request (cmd=%d klen=%d vlen=%d)", cmd, klen, vlen)
-	}
-	if len(buf) < reqHdr+klen+vlen {
-		return 0, nil, nil, buf, false, nil
-	}
-	key = buf[reqHdr : reqHdr+klen]
-	val = buf[reqHdr+klen : reqHdr+klen+vlen]
-	return cmd, key, val, buf[reqHdr+klen+vlen:], true, nil
-}
-
-// encodeResponse serializes one response.
-func encodeResponse(status byte, payload []byte) []byte {
-	b := make([]byte, respHdr+len(payload))
-	b[0] = status
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(payload)))
-	copy(b[respHdr:], payload)
-	return b
-}
-
-// decodeResponse pulls one complete response off the front of buf,
-// mirroring decodeRequest.
-func decodeResponse(buf []byte) (status byte, payload, rest []byte, ok bool, err error) {
-	if len(buf) < respHdr {
-		return 0, nil, buf, false, nil
-	}
-	status = buf[0]
-	plen := int(binary.LittleEndian.Uint32(buf[1:5]))
-	if status > 1 || plen < 0 || plen > maxNetVal {
-		return 0, nil, buf, false,
-			fmt.Errorf("redisapp: corrupt stream response (status=%d plen=%d)", status, plen)
-	}
-	if len(buf) < respHdr+plen {
-		return 0, nil, buf, false, nil
-	}
-	return status, buf[respHdr : respHdr+plen], buf[respHdr+plen:], true, nil
-}
 
 // NetServerParams configures one socket-serving server task.
 type NetServerParams struct {
@@ -101,6 +26,31 @@ type NetServerParams struct {
 	// (0 = none). It models request bodies heavier than pure store lookups
 	// and gives scaling benchmarks a per-machine compute component.
 	ExtraCompute int64
+}
+
+// Validate rejects server shapes that cannot run: an empty keyspace, a
+// negative request count, and payloads the stream decoder would reject.
+func (p NetServerParams) Validate() error {
+	if p.Expected < 0 {
+		return &ParamError{Field: "Expected", Value: p.Expected, Reason: "must not be negative"}
+	}
+	return validateKeyspace(p.PayloadBytes, p.Keys)
+}
+
+// validateKeyspace checks the pre-populated keyspace's shape, which every
+// socket-served server and its traffic generator share.
+func validateKeyspace(payloadBytes, keys int) error {
+	if payloadBytes <= 0 {
+		return &ParamError{Field: "PayloadBytes", Value: payloadBytes, Reason: "must be positive"}
+	}
+	if payloadBytes > maxNetVal {
+		return &ParamError{Field: "PayloadBytes", Value: payloadBytes,
+			Reason: fmt.Sprintf("exceeds stream value bound %d", maxNetVal)}
+	}
+	if keys <= 0 {
+		return &ParamError{Field: "Keys", Value: keys, Reason: "must be positive"}
+	}
+	return nil
 }
 
 // NetServerStats reports one server task's work.
@@ -122,6 +72,9 @@ type NetServerStats struct {
 // and many per-client connections behave the same.
 func ServeNet(t *kernel.Task, p NetServerParams) (NetServerStats, error) {
 	var st NetServerStats
+	if err := p.Validate(); err != nil {
+		return st, err
+	}
 	lfd, err := t.SocketListen(p.Port)
 	if err != nil {
 		return st, err
@@ -209,7 +162,7 @@ func ServeNet(t *kernel.Task, p NetServerParams) (NetServerStats, error) {
 				if miss > 0 {
 					status = 0
 				}
-				out = append(out, encodeResponse(status, payload)...)
+				out = appendResponse(out, status, payload)
 				st.Served++
 			}
 			if len(out) > 0 {
@@ -233,49 +186,57 @@ func ServeNet(t *kernel.Task, p NetServerParams) (NetServerStats, error) {
 	return st, t.CloseSock(lfd)
 }
 
-// netExecute runs one command against the store and returns the response
-// payload (the value for reads, nothing for writes) plus a miss count.
-func netExecute(t *kernel.Task, store *Store, cmd Command, key, val []byte) ([]byte, int, error) {
+// storeKeys appends to dst the store keys cmd touches for the wire key:
+// lists live under "l:", sets under "s:", and MSET fans out to four
+// "m<j>:" keys. GET and SET use the wire key itself. The executor and the
+// locked keyspace's lock set both derive their keys here, so they cannot
+// disagree.
+func storeKeys(dst [][]byte, cmd Command, key []byte) [][]byte {
 	switch cmd {
-	case CmdGet:
-		got, err := store.Get(t, key)
-		if err != nil {
-			return nil, 0, err
-		}
-		if got == nil {
-			return nil, 1, nil
-		}
-		return got, 0, nil
-	case CmdSet:
-		return nil, 0, store.Set(t, key, val)
-	case CmdLPush:
-		return nil, 0, store.Push(t, append([]byte("l:"), key...), val, true)
-	case CmdRPush:
-		return nil, 0, store.Push(t, append([]byte("l:"), key...), val, false)
-	case CmdLPop, CmdRPop:
-		got, err := store.Pop(t, append([]byte("l:"), key...), cmd == CmdLPop)
-		if err != nil {
-			return nil, 0, err
-		}
-		if got == nil {
-			return nil, 1, nil
-		}
-		return got, 0, nil
+	case CmdLPush, CmdRPush, CmdLPop, CmdRPop:
+		return append(dst, append([]byte("l:"), key...))
 	case CmdSAdd:
-		member := val
-		if len(member) > 32 {
-			member = member[:32]
-		}
-		_, err := store.SAdd(t, append([]byte("s:"), key...), member)
-		return nil, 0, err
+		return append(dst, append([]byte("s:"), key...))
 	case CmdMSet:
 		for j := 0; j < 4; j++ {
-			k := append([]byte(fmt.Sprintf("m%d:", j)), key...)
+			dst = append(dst, append([]byte(fmt.Sprintf("m%d:", j)), key...))
+		}
+		return dst
+	}
+	return append(dst, key)
+}
+
+// netExecute runs one command against the store and returns the response
+// payload (the value for reads, nothing for writes) plus a miss count.
+// Every server path and AOF replay execute through it.
+func netExecute(t *kernel.Task, store *Store, cmd Command, key, val []byte) ([]byte, int, error) {
+	var kbuf [4][]byte
+	keys := storeKeys(kbuf[:0], cmd, key)
+	var got []byte
+	var err error
+	switch cmd {
+	case CmdGet:
+		got, err = store.Get(t, keys[0])
+	case CmdLPop, CmdRPop:
+		got, err = store.Pop(t, keys[0], cmd == CmdLPop)
+	case CmdSet, CmdMSet:
+		for _, k := range keys {
 			if err := store.Set(t, k, val); err != nil {
 				return nil, 0, err
 			}
 		}
 		return nil, 0, nil
+	case CmdLPush, CmdRPush:
+		return nil, 0, store.Push(t, keys[0], val, cmd == CmdLPush)
+	case CmdSAdd:
+		// Set members are the payload's first 32 bytes.
+		_, err := store.SAdd(t, keys[0], val[:min(len(val), 32)])
+		return nil, 0, err
+	default:
+		return nil, 0, fmt.Errorf("redisapp: bad command %d", cmd)
 	}
-	return nil, 0, fmt.Errorf("redisapp: bad command %d", cmd)
+	if err != nil || got != nil {
+		return got, 0, err
+	}
+	return nil, 1, nil
 }

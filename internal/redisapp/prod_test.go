@@ -127,6 +127,66 @@ func TestTrafficParamsValidate(t *testing.T) {
 	}
 }
 
+// TestServerParamsValidate covers the two socket servers' parameter
+// surfaces, and that each server rejects bad params at entry instead of
+// serving with them.
+func TestServerParamsValidate(t *testing.T) {
+	good := ProdParams{Expected: 10, PayloadBytes: 64, Keys: 4}
+	netOf := func(p ProdParams) NetServerParams {
+		return NetServerParams{Expected: p.Expected, PayloadBytes: p.PayloadBytes, Keys: p.Keys}
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("good prod params rejected: %v", err)
+	}
+	if err := netOf(good).Validate(); err != nil {
+		t.Fatalf("good net params rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mut    func(*ProdParams)
+		field  string
+		shared bool // NetServerParams has the field too
+	}{
+		{"negative expected", func(p *ProdParams) { p.Expected = -1 }, "Expected", true},
+		{"zero payload", func(p *ProdParams) { p.PayloadBytes = 0 }, "PayloadBytes", true},
+		{"oversized payload", func(p *ProdParams) { p.PayloadBytes = 9000 }, "PayloadBytes", true},
+		{"zero keys", func(p *ProdParams) { p.Keys = 0 }, "Keys", true},
+		{"negative cores", func(p *ProdParams) { p.Cores = -4 }, "Cores", false},
+		{"negative groupk", func(p *ProdParams) { p.GroupK = -1 }, "GroupK", false},
+		{"negative groupq", func(p *ProdParams) { p.GroupQ = -1 }, "GroupQ", false},
+	}
+	for _, c := range cases {
+		p := good
+		c.mut(&p)
+		var pe *ParamError
+		if err := p.Validate(); !errors.As(err, &pe) || pe.Field != c.field {
+			t.Errorf("%s: ProdParams.Validate() = %v, want ParamError on %s", c.name, err, c.field)
+		}
+		if c.shared {
+			if err := netOf(p).Validate(); !errors.As(err, &pe) || pe.Field != c.field {
+				t.Errorf("%s: NetServerParams.Validate() = %v, want ParamError on %s", c.name, err, c.field)
+			}
+		}
+	}
+
+	bad := good
+	bad.PayloadBytes = 9000
+	m := newM(t, machine.VanillaOS)
+	_, err := m.RunSingle("servers", mem.NodeX86, func(task *kernel.Task) error {
+		var pe *ParamError
+		if _, err := ServeProd(task, bad); !errors.As(err, &pe) {
+			t.Errorf("ServeProd(PayloadBytes=9000) = %v, want ParamError", err)
+		}
+		if _, err := ServeNet(task, netOf(bad)); !errors.As(err, &pe) {
+			t.Errorf("ServeNet(PayloadBytes=9000) = %v, want ParamError", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // diffCommands is the shared command stream for the differential digest
 // test: every command type, keys that collide across buckets, values of
 // varying sizes.
@@ -272,7 +332,7 @@ func TestAOFCrashPointReplay(t *testing.T) {
 			if !mutatesStore(c.cmd, miss) {
 				continue
 			}
-			records = append(records, encodeAOFRecord(c.cmd, c.key, c.val))
+			records = append(records, appendAOFRecord(nil, c.cmd, c.key, c.val))
 			d, err := oracle.Digest(task)
 			if err != nil {
 				return err
@@ -339,8 +399,8 @@ func TestAOFCrashPointReplay(t *testing.T) {
 // re-encode to the exact consumed bytes, and decode must never panic or
 // mis-frame on arbitrary input.
 func FuzzAOFRecord(f *testing.F) {
-	f.Add(encodeAOFRecord(CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)))
-	f.Add(encodeAOFRecord(CmdLPop, []byte("l:key"), nil))
+	f.Add(appendAOFRecord(nil, CmdSet, []byte("key:000001"), bytes.Repeat([]byte{7}, 64)))
+	f.Add(appendAOFRecord(nil, CmdLPop, []byte("l:key"), nil))
 	f.Add([]byte{0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -349,7 +409,7 @@ func FuzzAOFRecord(f *testing.F) {
 			return
 		}
 		consumed := len(data) - len(rest)
-		re := encodeAOFRecord(cmd, key, val)
+		re := appendAOFRecord(nil, cmd, key, val)
 		if !bytes.Equal(re, data[:consumed]) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:consumed])
 		}

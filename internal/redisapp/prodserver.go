@@ -8,7 +8,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/net"
 	"repro/internal/pgtable"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -27,15 +26,15 @@ import (
 
 // Worker ring geometry: slot 0 of each ring holds head (producer index)
 // at +0 and tail (consumer index) at +64. Request slots carry
-// seq(8)|cmd(1)|klen(4)|vlen(4)|key|val; response slots carry
-// seq(8)|status(1)|plen(4)|payload. The seq is frontend-internal — the
-// wire protocol stays plain RESP-lite, FIFO per connection.
+// seq(8)|request and response slots seq(8)|response, around the codec's
+// headers. The seq is frontend-internal — the wire protocol stays plain
+// RESP-lite, FIFO per connection.
 const (
 	prodRingCtl = 128
 	prodSlots   = 16
 	prodSlotCap = 8768 // fits hdr + maxNetKey + maxNetVal
-	prodReqHdr  = 17
-	prodRespHdr = 13
+	prodReqHdr  = 8 + reqHdr
+	prodRespHdr = 8 + respHdr
 )
 
 // KeyspaceKind selects the store regime behind the worker pool.
@@ -79,6 +78,28 @@ type ProdParams struct {
 	// (0 = defaults 8 and 150000).
 	GroupK int
 	GroupQ sim.Cycles
+}
+
+// Validate rejects server shapes that cannot run: an empty keyspace,
+// payloads the stream decoder and AOF replay would reject, and negative
+// counts. Zero Cores, GroupK and GroupQ still select the defaults.
+func (p ProdParams) Validate() error {
+	if p.Expected < 0 {
+		return &ParamError{Field: "Expected", Value: p.Expected, Reason: "must not be negative"}
+	}
+	if err := validateKeyspace(p.PayloadBytes, p.Keys); err != nil {
+		return err
+	}
+	if p.Cores < 0 {
+		return &ParamError{Field: "Cores", Value: p.Cores, Reason: "must not be negative"}
+	}
+	if p.GroupK < 0 {
+		return &ParamError{Field: "GroupK", Value: p.GroupK, Reason: "must not be negative"}
+	}
+	if p.GroupQ < 0 {
+		return &ParamError{Field: "GroupQ", Value: p.GroupQ, Reason: "must not be negative"}
+	}
+	return nil
 }
 
 // ProdWorkerStats is one worker's counters, for the -json export.
@@ -143,6 +164,9 @@ func (r prodRings) size() uint64 { return uint64(2*r.workers*r.ringBytes() + r.w
 // Expected pipelined requests, then join, digest, and verify recovery.
 func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	var st ProdStats
+	if err := p.Validate(); err != nil {
+		return st, err
+	}
 	if p.Port == 0 {
 		p.Port = 6379
 	}
@@ -155,7 +179,7 @@ func ServeProd(t *kernel.Task, p ProdParams) (ProdStats, error) {
 	if p.GroupQ == 0 {
 		p.GroupQ = 150_000
 	}
-	if p.Cores < 1 {
+	if p.Cores == 0 {
 		p.Cores = 1
 	}
 	workers := 2 * p.Cores
@@ -413,7 +437,7 @@ func prodFrontend(t *kernel.Task, p ProdParams, rings prodRings, workers int, lf
 				if status == 0 {
 					st.Misses++
 				}
-				respBySeq[seq] = encodeResponse(status, payload)
+				respBySeq[seq] = appendResponse(nil, status, payload)
 				progress = true
 			}
 		}
@@ -470,13 +494,9 @@ func prodRingPush(t *kernel.Task, ring pgtable.VirtAddr, q queuedProd) (ok bool,
 	if head-tail >= prodSlots {
 		return false, nil
 	}
-	buf := make([]byte, prodReqHdr+len(q.key)+len(q.val))
-	binary.LittleEndian.PutUint64(buf[0:8], q.seq)
-	buf[8] = byte(q.cmd)
-	binary.LittleEndian.PutUint32(buf[9:13], uint32(len(q.key)))
-	binary.LittleEndian.PutUint32(buf[13:17], uint32(len(q.val)))
-	copy(buf[prodReqHdr:], q.key)
-	copy(buf[prodReqHdr+len(q.key):], q.val)
+	buf := make([]byte, 8, prodReqHdr+len(q.key)+len(q.val))
+	binary.LittleEndian.PutUint64(buf, q.seq)
+	buf = appendRequest(buf, q.cmd, q.key, q.val)
 	slot := ring + prodRingCtl + pgtable.VirtAddr(int(head%prodSlots)*prodSlotCap)
 	if err := t.WriteBytes(slot, buf); err != nil {
 		return false, err
@@ -508,11 +528,10 @@ func prodRingPop(t *kernel.Task, ring pgtable.VirtAddr) (seq uint64, status byte
 	if err != nil {
 		return 0, 0, nil, false, err
 	}
-	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	status = hdr[8]
-	plen := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	if plen < 0 || prodRespHdr+plen > prodSlotCap {
-		return 0, 0, nil, false, fmt.Errorf("redisapp: corrupt response slot (plen=%d)", plen)
+	seq = binary.LittleEndian.Uint64(hdr)
+	status, plen, err := parseResponseHeader(hdr[8:])
+	if err != nil {
+		return 0, 0, nil, false, err
 	}
 	if plen > 0 {
 		payload, err = t.ReadBytes(slot+prodRespHdr, plen)
@@ -537,12 +556,10 @@ func prodRingConsume(t *kernel.Task, reqRing pgtable.VirtAddr, tail uint64) (seq
 	if err != nil {
 		return 0, 0, nil, nil, err
 	}
-	seq = binary.LittleEndian.Uint64(hdr[0:8])
-	cmd = Command(hdr[8])
-	klen := int(binary.LittleEndian.Uint32(hdr[9:13]))
-	vlen := int(binary.LittleEndian.Uint32(hdr[13:17]))
-	if klen <= 0 || klen > maxNetKey || vlen < 0 || vlen > maxNetVal {
-		return 0, 0, nil, nil, fmt.Errorf("redisapp: corrupt ring slot (klen=%d vlen=%d)", klen, vlen)
+	seq = binary.LittleEndian.Uint64(hdr)
+	cmd, klen, vlen, err := parseRequestHeader(hdr[8:])
+	if err != nil {
+		return 0, 0, nil, nil, err
 	}
 	key, err = t.ReadBytes(slot+prodReqHdr, klen)
 	if err != nil {
@@ -588,11 +605,9 @@ func prodRingRespond(t *kernel.Task, respRing pgtable.VirtAddr, seq uint64, stat
 	if err != nil {
 		return err
 	}
-	rbuf := make([]byte, prodRespHdr+len(payload))
-	binary.LittleEndian.PutUint64(rbuf[0:8], seq)
-	rbuf[8] = status
-	binary.LittleEndian.PutUint32(rbuf[9:13], uint32(len(payload)))
-	copy(rbuf[prodRespHdr:], payload)
+	rbuf := make([]byte, 8, prodRespHdr+len(payload))
+	binary.LittleEndian.PutUint64(rbuf, seq)
+	rbuf = appendResponse(rbuf, status, payload)
 	rslot := respRing + prodRingCtl + pgtable.VirtAddr(int(rh%prodSlots)*prodSlotCap)
 	if err := t.WriteBytes(rslot, rbuf); err != nil {
 		return err
@@ -687,51 +702,15 @@ type ProdClusterResult struct {
 }
 
 // ClusterProdBench drives one GenerateTraffic load balancer into ServeProd
-// servers on the remaining machines, mirroring ClusterBench.
+// servers on the remaining machines, through ClusterBench's driver.
 func ClusterProdBench(cl *machine.Cluster, p TrafficParams, pp ProdParams) (ProdClusterResult, error) {
-	nS := len(cl.Machines) - 1
-	if err := p.Validate(nS); err != nil {
-		return ProdClusterResult{}, err
-	}
-	if p.Port == 0 {
-		p.Port = 6379
-	}
-	expected := make([]int, nS)
-	for i := 0; i < p.Requests; i++ {
-		expected[i%nS]++
-	}
-	res := ProdClusterResult{Servers: nS, PerServer: make([]ProdStats, nS)}
-	specs := make([]machine.ClusterTask, 0, nS+1)
-	for s := 0; s < nS; s++ {
-		s := s
-		specs = append(specs, machine.ClusterTask{Mach: s + 1, TaskSpec: machine.TaskSpec{
-			Name: fmt.Sprintf("redis-prod-%d", s), Origin: mem.NodeX86, KeepAlive: true,
-			Body: func(t *kernel.Task) error {
-				st, err := ServeProd(t, ProdParams{
-					Port: p.Port, Expected: expected[s],
-					PayloadBytes: p.PayloadBytes, Keys: p.Keys,
-					Kind: pp.Kind, Cores: pp.Cores,
-					AOFPath: pp.AOFPath, GroupK: pp.GroupK, GroupQ: pp.GroupQ,
-				})
-				res.PerServer[s] = st
-				return err
-			},
-		}})
-	}
-	servers := make([]net.Addr, nS)
-	for s := range servers {
-		servers[s] = net.Addr{Mach: s + 1, Port: p.Port}
-	}
-	specs = append(specs, machine.ClusterTask{Mach: 0, TaskSpec: machine.TaskSpec{
-		Name: "loadgen", Origin: mem.NodeX86, KeepAlive: true, Start: 2000,
-		Body: func(t *kernel.Task) error {
-			tr, err := GenerateTraffic(t, servers, p)
-			res.Traffic = tr
-			return err
-		},
-	}})
-	if _, err := cl.RunTasks(specs...); err != nil {
-		return res, err
-	}
-	return res, nil
+	tr, per, err := runCluster(cl, p, "redis-prod", func(t *kernel.Task, port uint16, expected int) (ProdStats, error) {
+		return ServeProd(t, ProdParams{
+			Port: port, Expected: expected,
+			PayloadBytes: p.PayloadBytes, Keys: p.Keys,
+			Kind: pp.Kind, Cores: pp.Cores,
+			AOFPath: pp.AOFPath, GroupK: pp.GroupK, GroupQ: pp.GroupQ,
+		})
+	})
+	return ProdClusterResult{Servers: len(per), Traffic: tr, PerServer: per}, err
 }

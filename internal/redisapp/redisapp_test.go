@@ -206,12 +206,23 @@ func TestBenchRunGetStramash(t *testing.T) {
 }
 
 func TestBenchAllCommandsStramash(t *testing.T) {
+	type benchCase struct {
+		name string
+		p    BenchParams
+	}
+	var cases []benchCase
 	for _, name := range CommandNames {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			cmd, _ := ParseCommand(name)
+		cmd, _ := ParseCommand(name)
+		cases = append(cases, benchCase{name, BenchParams{Command: cmd, Requests: 24, PayloadBytes: 256, Keys: 8}})
+	}
+	// A SADD payload shorter than the 32-byte member cap: Validate accepts
+	// it, so the executor must take the whole payload as the member.
+	cases = append(cases, benchCase{"sadd-short-payload", BenchParams{Command: CmdSAdd, Requests: 4, PayloadBytes: 8, Keys: 2}})
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			m := newM(t, machine.StramashOS)
-			res, err := Run(m, BenchParams{Command: cmd, Requests: 24, PayloadBytes: 256, Keys: 8})
+			res, err := Run(m, c.p)
 			if err != nil {
 				t.Fatal(err)
 			}

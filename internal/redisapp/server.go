@@ -1,7 +1,6 @@
 package redisapp
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -11,11 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Command codes of the RESP-lite wire protocol. One request is:
-//
-//	cmd(1) | keyLen(4) | valLen(4) | key... | val...
-//
-// and one response is: status(1) | len(4) | payload...
+// Command codes of the RESP-lite wire protocol (codec.go).
 type Command byte
 
 // The eight commands of Figure 14.
@@ -51,12 +46,12 @@ func (c Command) String() string {
 }
 
 // ring geometry: slot 0 holds head (producer index) at +0 and tail
-// (consumer index) at +64; request slots follow.
+// (consumer index) at +64; request slots follow, each holding one bare
+// request.
 const (
 	ringCtl      = 128
 	slotSize     = 1536
 	ringSlots    = 32
-	reqHdr       = 9
 	maxRRPayload = slotSize - reqHdr - 64
 )
 
@@ -166,7 +161,7 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 				return err
 			}
 			if p.Command == CmdLPop || p.Command == CmdRPop {
-				lkey := append([]byte("l:"), key...)
+				lkey := storeKeys(nil, p.Command, key)[0]
 				need := (p.Requests + p.Keys - 1) / p.Keys
 				for j := 0; j < need+1; j++ {
 					if err := store.Push(t, lkey, valFor(p, i), false); err != nil {
@@ -199,36 +194,18 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 				continue
 			}
 			slot := rb + ringCtl + pgtable.VirtAddr(int(tail%ringSlots)*slotSize)
-			hdr, err := t.ReadBytes(slot, reqHdr)
+			cmd, key, val, err := readRXSlot(t, slot)
 			if err != nil {
 				return err
-			}
-			cmd := Command(hdr[0])
-			klen := int(binary.LittleEndian.Uint32(hdr[1:5]))
-			vlen := int(binary.LittleEndian.Uint32(hdr[5:9]))
-			// A corrupt header must not drive ReadBytes past the slot: the
-			// lengths are attacker-controlled wire input in a real server.
-			if klen <= 0 || vlen < 0 || klen+vlen > slotSize-reqHdr {
-				return fmt.Errorf("redisapp: corrupt request header (klen=%d vlen=%d, slot payload max %d)",
-					klen, vlen, slotSize-reqHdr)
-			}
-			key, err := t.ReadBytes(slot+reqHdr, klen)
-			if err != nil {
-				return err
-			}
-			var val []byte
-			if vlen > 0 {
-				val, err = t.ReadBytes(slot+reqHdr+pgtable.VirtAddr(klen), vlen)
-				if err != nil {
-					return err
-				}
 			}
 			// Protocol parsing cost (RESP decode is byte-at-a-time work).
-			t.Compute(int64(20 + (klen+vlen)/8))
+			t.Compute(int64(20 + (len(key)+len(val))/8))
 
-			if err := execute(t, store, cmd, key, val, &res); err != nil {
+			_, miss, err := netExecute(t, store, cmd, key, val)
+			if err != nil {
 				return err
 			}
+			res.Errors += miss
 			if err := t.Store(rb+64, 8, tail+1); err != nil {
 				return err
 			}
@@ -273,18 +250,17 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 				val = valFor(p, i)
 			}
 			slot := rb + ringCtl + pgtable.VirtAddr(int(head%ringSlots)*slotSize)
-			hdr := make([]byte, reqHdr)
-			hdr[0] = byte(p.Command)
-			binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(key)))
-			binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(val)))
-			if err := t.WriteBytes(slot, hdr); err != nil {
+			// The request lands as three DMA writes: header, key, value.
+			req := appendRequest(nil, p.Command, key, val)
+			kend := reqHdr + len(key)
+			if err := t.WriteBytes(slot, req[:reqHdr]); err != nil {
 				return err
 			}
-			if err := t.WriteBytes(slot+reqHdr, key); err != nil {
+			if err := t.WriteBytes(slot+reqHdr, req[reqHdr:kend]); err != nil {
 				return err
 			}
 			if len(val) > 0 {
-				if err := t.WriteBytes(slot+reqHdr+pgtable.VirtAddr(len(key)), val); err != nil {
+				if err := t.WriteBytes(slot+pgtable.VirtAddr(kend), req[kend:]); err != nil {
 					return err
 				}
 			}
@@ -310,53 +286,29 @@ func Run(m *machine.Machine, p BenchParams) (BenchResult, error) {
 	return res, nil
 }
 
-// execute runs one command against the store, verifying results where the
-// command returns data.
-func execute(t *kernel.Task, store *Store, cmd Command, key, val []byte, res *BenchResult) error {
-	switch cmd {
-	case CmdGet:
-		got, err := store.Get(t, key)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdSet:
-		return store.Set(t, key, val)
-	case CmdLPush:
-		return store.Push(t, append([]byte("l:"), key...), val, true)
-	case CmdRPush:
-		return store.Push(t, append([]byte("l:"), key...), val, false)
-	case CmdLPop:
-		got, err := store.Pop(t, append([]byte("l:"), key...), true)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdRPop:
-		got, err := store.Pop(t, append([]byte("l:"), key...), false)
-		if err != nil {
-			return err
-		}
-		if got == nil {
-			res.Errors++
-		}
-	case CmdSAdd:
-		_, err := store.SAdd(t, append([]byte("s:"), key...), val[:32])
-		return err
-	case CmdMSet:
-		// MSET writes several keys in one request.
-		for j := 0; j < 4; j++ {
-			k := append([]byte(fmt.Sprintf("m%d:", j)), key...)
-			if err := store.Set(t, k, val); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("redisapp: bad command %d", cmd)
+// readRXSlot reads the request in one RX ring slot: the header, then the
+// key and value. A corrupt header must not drive ReadBytes past the slot:
+// the lengths are attacker-controlled wire input in a real server.
+func readRXSlot(t *kernel.Task, slot pgtable.VirtAddr) (cmd Command, key, val []byte, err error) {
+	hdr, err := t.ReadBytes(slot, reqHdr)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	return nil
+	cmd, klen, vlen, err := parseRequestHeader(hdr)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if reqHdr+klen+vlen > slotSize {
+		return 0, nil, nil, fmt.Errorf("redisapp: request overflows RX slot (klen=%d vlen=%d, slot %d)",
+			klen, vlen, slotSize)
+	}
+	if key, err = t.ReadBytes(slot+reqHdr, klen); err != nil {
+		return 0, nil, nil, err
+	}
+	if vlen > 0 {
+		if val, err = t.ReadBytes(slot+reqHdr+pgtable.VirtAddr(klen), vlen); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	return cmd, key, val, nil
 }
