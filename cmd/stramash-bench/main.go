@@ -2,10 +2,11 @@
 // paper's evaluation section and reports, per experiment, whether the
 // paper's shape claims reproduce.
 //
-// Experiments run on a bounded worker pool (one fully isolated simulated
-// machine set per experiment). The report on stdout is rendered in paper
-// order whatever the completion order, so it is byte-identical at any
-// -parallel setting; timing and the run summary go to stderr.
+// Experiments, and the independent machine runs inside each, share one
+// host-parallelism width, -parallel N (0 = GOMAXPROCS, 1 = sequential);
+// every machine is fully isolated. The report on stdout is rendered in
+// paper order whatever the completion order, so it is byte-identical at
+// any -parallel setting; timing and the run summary go to stderr.
 //
 // Usage:
 //
@@ -25,9 +26,6 @@
 // -engine-stats adds the simulation engine's own counters (segments,
 // goroutine switches, segment cycles) to the JSON for experiments that
 // export them.
-//
-// -hostprocs N runs up to N of one experiment's independent machine runs
-// concurrently (0 leaves it at 1); a negative value is a usage error.
 //
 // Experiment ids: table2, fig5-6-small, fig5-6-big, fig7-small, fig7-big,
 // fig8, table3, table4, fig9, fig10, fig11, fig12, fig13, fig14,
@@ -51,25 +49,17 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
 	only := flag.String("only", "", "run a single experiment by id")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "experiments and machine runs in flight (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 	timing := flag.Bool("timing", false, "print per-experiment wall-clock timing to stderr")
 	jsonOut := flag.String("json", "", "write a machine-readable JSON report to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-	hostprocs := flag.Int("hostprocs", 0, "concurrent machine runs within pooled experiments (0 = leave at 1)")
 	engineStats := flag.Bool("engine-stats", false, "capture per-run engine counters into the -json report (experiments that support it)")
 	workerStats := flag.Bool("worker-stats", false, "include per-worker counters (worker ops, futex waits, fsync batches) in the metrics of experiments that run the production redis server")
 	tenantStats := flag.Bool("tenant-stats", false, "include per-tenant capability counters (caps checked, denials, revocations, frames and cache frames charged, quota hits) in the metrics of multi-tenant experiments")
 	flag.Parse()
 
-	if err := checkHostProcs(*hostprocs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *hostprocs > 0 {
-		experiments.HostProcs = *hostprocs
-	}
 	experiments.SetStatGate(experiments.GateEngine, *engineStats)
 	experiments.SetStatGate(experiments.GateWorker, *workerStats)
 	experiments.SetStatGate(experiments.GateTenant, *tenantStats)
@@ -159,15 +149,6 @@ func main() {
 		fmt.Println("all shape checks reproduced")
 	}
 	os.Exit(experiments.ExitCode(deviations, err))
-}
-
-// checkHostProcs rejects a negative -hostprocs: 0 leaves the row pool at
-// its default width of 1, and a positive value sets the width.
-func checkHostProcs(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-hostprocs %d: must be 0 (default) or positive", n)
-	}
-	return nil
 }
 
 // writeMemProfile records the post-run heap. allocs-space totals in the

@@ -1,25 +1,28 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"testing"
+)
 
-// TestCheckHostProcs pins the -hostprocs contract: 0 (the default) and
-// positive widths are accepted, and a negative value is a usage error
-// instead of being silently ignored.
-func TestCheckHostProcs(t *testing.T) {
-	cases := []struct {
-		n       int
-		wantErr bool
-	}{
-		{0, false},
-		{1, false},
-		{4, false},
-		{-1, true},
-		{-3, true},
+// TestHostprocsIsUnknownFlag pins that -parallel is the only width knob:
+// the former row-pool flag -hostprocs is now a usage error (exit 2). The
+// test re-runs its own binary with the command line after "main", which
+// the child hands to main.
+func TestHostprocsIsUnknownFlag(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "main" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet(args[0], flag.ExitOnError)
+		main()
+		return
 	}
-	for _, c := range cases {
-		err := checkHostProcs(c.n)
-		if (err != nil) != c.wantErr {
-			t.Errorf("checkHostProcs(%d) = %v, want error %v", c.n, err, c.wantErr)
-		}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHostprocsIsUnknownFlag$", "main", "-hostprocs", "4", "-list")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("stramash-bench -hostprocs 4 = %v, want exit status 2\n%s", err, out)
 	}
 }

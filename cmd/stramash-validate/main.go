@@ -36,7 +36,7 @@ var validationIDs = []string{"table2", "fig5-6-small", "fig5-6-big", "fig7-small
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "workload scale: quick or full")
-	parallel := flag.Int("parallel", 0, "experiments in flight (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "experiments and machine runs in flight (0 = GOMAXPROCS, 1 = sequential)")
 	extras := flag.Bool("extras", false, "also gate the reproduction-only extras (multicore, filesys, cluster, redisprod, tenants)")
 	flag.Parse()
 

@@ -115,6 +115,26 @@ func (c LevelConfig) Sets() int {
 	return c.Size / (c.Ways * mem.LineSize)
 }
 
+// Validate checks that the level's geometry is one a level can hold: a
+// zero size (the level is disabled), or 1..MaxWays ways over a non-zero
+// power-of-two number of whole sets.
+func (c LevelConfig) Validate() error {
+	switch {
+	case c.Size == 0:
+		return nil
+	case c.Size < 0:
+		return fmt.Errorf("size %d must not be negative", c.Size)
+	case c.Ways < 1 || c.Ways > MaxWays:
+		return fmt.Errorf("%d ways, want 1..%d", c.Ways, MaxWays)
+	}
+	n := c.Sets()
+	if n == 0 || n&(n-1) != 0 || n*c.Ways*mem.LineSize != c.Size {
+		return fmt.Errorf("size %d over %d ways of %d-byte lines is not a non-zero power-of-two number of sets",
+			c.Size, c.Ways, mem.LineSize)
+	}
+	return nil
+}
+
 // NodeConfig describes one node's cache hierarchy.
 type NodeConfig struct {
 	Cores int
@@ -167,6 +187,31 @@ func DefaultConfig(model mem.Model) Config {
 		cfg.CrossNode = OnChipSnoopCosts()
 	}
 	return cfg
+}
+
+// Validate checks every level of both nodes (only the L3 may be
+// disabled) and that every line of the physical layout fits a level's
+// 32-bit tag (the layout must end at or below MaxPhysEnd).
+func (c Config) Validate(layout *mem.Layout) error {
+	for n, nc := range c.Nodes {
+		for _, lv := range []struct {
+			name string
+			cfg  LevelConfig
+		}{{"L1I", nc.L1I}, {"L1D", nc.L1D}, {"L2", nc.L2}, {"L3", nc.L3}} {
+			if err := lv.cfg.Validate(); err != nil {
+				return fmt.Errorf("cache: node %d %s: %w", n, lv.name, err)
+			}
+			if lv.cfg.Size == 0 && lv.name != "L3" {
+				return fmt.Errorf("cache: node %d %s: only the L3 may be disabled", n, lv.name)
+			}
+		}
+	}
+	for _, r := range layout.Regions {
+		if end := uint64(r.Start) + r.Size; end > MaxPhysEnd {
+			return fmt.Errorf("cache: region %s ends at %#x, past the %#x a 32-bit line tag reaches", r.Name, end, uint64(MaxPhysEnd))
+		}
+	}
+	return nil
 }
 
 // Stats mirrors the counters printed by the paper's artifact (per node).

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -13,130 +14,195 @@ type lineAddr uint64
 
 func lineOf(a mem.PhysAddr) lineAddr { return lineAddr(a >> mem.LineShift) }
 
-// way is one cache way: a tag plus replacement state.
-type way struct {
-	line  lineAddr
-	valid bool
-	dirty bool
-	used  int64 // global LRU timestamp
-}
+// MaxWays is the largest associativity a level can hold: its recency word
+// packs one 4-bit way number per way into 64 bits.
+const MaxWays = 16
 
-// level is one set-associative cache level with true LRU replacement. The
-// ways of all sets live in one contiguous array (set s occupies
-// ways[s*assoc : (s+1)*assoc]), so a lookup is a shift, a mask and a short
-// scan of adjacent memory — no per-set slice headers, no division.
+// MaxPhysEnd is the end of the highest physical address a level can tag:
+// a tag is the line number plus one in 32 bits, so line numbers stay below
+// 2^32-1 (256 GiB of physical address space).
+const MaxPhysEnd = (1<<32 - 1) * mem.LineSize
+
+// level is one set-associative cache level with exact LRU replacement,
+// stored as a struct of arrays so that a 16-way set costs 76 bytes of host
+// memory instead of the 384 a 24-byte way record took:
 //
-// mru caches the way returned by the last successful lookup. Accesses
-// repeat lines heavily (eight consecutive words share a line), so the
-// common case degenerates to one pointer check. The pointer never dangles:
-// ways is never reallocated, and a reused or invalidated way fails the
-// valid/line check.
+//   - tags holds one word per way, set s occupying tags[s*assoc :
+//     (s+1)*assoc]: the line number plus one, so zero means invalid;
+//     a last, always-zero word is the sentinel hot points at when unset;
+//   - rec holds one recency word per set: the set's way numbers, 4 bits
+//     each, ordered from the most recently used (low nibble) to the least
+//     recently used (nibble assoc-1);
+//   - state holds one word per set: bit w is way w's valid flag and bit
+//     16+w its dirty flag.
+//
+// Every hit and every fill moves its way to the front of rec, and nothing
+// else reorders it, so once a set is full its LRU nibble is the way whose
+// last use is oldest: the same victim as a per-way timestamp with a
+// minimum search. Until then the victim is the lowest invalid way, the
+// trailing zero of the valid bits. Both choices are O(1).
+//
+// mru is the tags index of the way of the last hit that needed a set
+// scan. hot is mru while that way also is the front of its set, so that a
+// hit on it changes nothing; a fill into its set unsets it. Accesses
+// repeat lines heavily (eight consecutive words share a line), so most
+// hits are on hot and cost one compare, which accessLine makes inline for
+// L1 reads before calling probe. A reused or invalidated way fails the
+// compare.
 type level struct {
-	ways  []way
-	mru   *way
+	tags  []uint32
+	rec   []uint64
+	state []uint32
+	mru   int
+	hot   int
 	assoc int
 	mask  uint64
-	// tick is the level's private LRU clock, bumped once per stamp; victim
-	// selection compares timestamps only within one level.
-	tick int64
+	// full is the valid bits of a full set; lruShift is the bit offset of
+	// the LRU nibble; recMask covers assoc nibbles.
+	full     uint32
+	lruShift uint
+	recMask  uint64
 }
+
+// Nibble masks for the word-parallel search in promote.
+const (
+	nibbleLow  = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
 
 func newLevel(c LevelConfig) *level {
 	n := c.Sets()
 	if n == 0 {
 		return nil
 	}
-	if n&(n-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two (size=%d ways=%d)", n, c.Size, c.Ways))
+	l := &level{
+		tags:     make([]uint32, n*c.Ways+1),
+		hot:      n * c.Ways,
+		rec:      make([]uint64, n),
+		state:    make([]uint32, n),
+		assoc:    c.Ways,
+		mask:     uint64(n - 1),
+		full:     1<<c.Ways - 1,
+		lruShift: uint(4 * (c.Ways - 1)),
+		recMask:  1<<(4*uint(c.Ways)) - 1,
 	}
-	return &level{ways: make([]way, n*c.Ways), assoc: c.Ways, mask: uint64(n - 1)}
+	var fresh uint64
+	for w := 0; w < c.Ways; w++ {
+		fresh |= uint64(w) << (4 * w)
+	}
+	for s := range l.rec {
+		l.rec[s] = fresh
+	}
+	return l
 }
 
-func (l *level) setOf(a lineAddr) []way {
-	s := (uint64(a) & l.mask) * uint64(l.assoc)
-	return l.ways[s : s+uint64(l.assoc)]
+// tagOf is the tags entry of a line held in a level.
+func tagOf(a lineAddr) uint32 { return uint32(a) + 1 }
+
+// probe returns the tags index of the way holding a, made the most
+// recently used of its set, or -1 when a is absent. Like a hardware way
+// predictor it tries l.mru, the way of the last hit that needed a set
+// scan, before scanning; a set holding a line twice (the no-L3 fill path
+// fills an L2 twice) therefore hits the predicted copy.
+func (l *level) probe(a lineAddr) int {
+	i := l.mru
+	if l.tags[i] != tagOf(a) {
+		if i = l.lookup(a); i < 0 {
+			return -1
+		}
+		l.mru = i
+	}
+	s := uint64(a) & l.mask
+	l.rec[s] = promote(l.rec[s], uint64(i)-s*uint64(l.assoc))
+	l.hot = i
+	return i
 }
 
-// lookup returns the way holding a, or nil, remembering a hit in l.mru.
-// The mru check itself lives in hit(), not here, so this function stays
-// within the compiler's inlining budget for the miss-path callers.
-func (l *level) lookup(a lineAddr) *way {
-	if l == nil {
-		return nil
-	}
-	set := l.setOf(a)
-	for i := range set {
-		if set[i].valid && set[i].line == a {
-			l.mru = &set[i]
-			return &set[i]
+// lookup scans a's set for it, returning its tags index or -1.
+func (l *level) lookup(a lineAddr) int {
+	base := int(uint64(a)&l.mask) * l.assoc
+	tag := tagOf(a)
+	for w, t := range l.tags[base : base+l.assoc] {
+		if t == tag {
+			return base + w
 		}
 	}
-	return nil
+	return -1
 }
 
-// insert fills a into the level, evicting the LRU way if needed. It returns
-// the way now holding a (so callers can mark it dirty without a second set
-// scan) plus the evicted line and whether an eviction of a valid (possibly
-// dirty) line happened.
-func (l *level) insert(a lineAddr) (filled *way, evicted lineAddr, wasValid, wasDirty bool) {
-	if l == nil {
-		return nil, 0, false, false
+// promote moves way w to the front of recency word r. XOR-ing w into every
+// nibble zeroes exactly w's nibble; the lowest zero nibble is found with
+// the classic borrow trick (a false positive can only sit above a true
+// zero, and the lowest flag is taken). A way already in front, the common
+// case, returns at once.
+func promote(r, w uint64) uint64 {
+	if r&0xF == w {
+		return r
 	}
-	set := l.setOf(a)
-	victim := l.victimIn(set)
-	w := &set[victim]
-	evicted, wasValid, wasDirty = w.line, w.valid, w.dirty
-	l.tick++
-	*w = way{line: a, valid: true, used: l.tick}
-	return w, evicted, wasValid, wasDirty
+	x := r ^ w*nibbleLow
+	p := uint(bits.TrailingZeros64((x-nibbleLow)&^x&nibbleHigh)) &^ 3
+	above := ^uint64(0) << (p & 63) // w's nibble and every later one
+	return r&(above<<4) | (r&^above)<<4 | w
 }
 
-// victimIn returns the index insert would evict from the given set: the
-// first invalid way, else the least recently used.
-func (l *level) victimIn(set []way) int {
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			return i
+// setDirty marks way i, which holds a, dirty.
+func (l *level) setDirty(a lineAddr, i int) {
+	s := uint64(a) & l.mask
+	l.state[s] |= 1 << ((16 + uint64(i) - s*uint64(l.assoc)) & 31)
+}
+
+// insert fills a into the level, dirty or clean, evicting a victim if the
+// set is full. It returns the tags index now holding a plus the evicted
+// line and whether an eviction of a valid (possibly dirty) line happened.
+func (l *level) insert(a lineAddr, dirty bool) (i int, evicted lineAddr, wasValid, wasDirty bool) {
+	s := uint64(a) & l.mask
+	base := int(s) * l.assoc
+	st, r := l.state[s], l.rec[s]
+	if uint(l.hot-base) < uint(l.assoc) {
+		l.hot = len(l.tags) - 1
+	}
+	var w uint
+	if valid := st & 0xFFFF; valid != l.full {
+		w = uint(bits.TrailingZeros32(^valid)) & 15
+		r = promote(r, uint64(w))
+	} else {
+		w = uint(r>>(l.lruShift&63)) & 15
+		r = (r<<4 | uint64(w)) & l.recMask
+		evicted, wasValid, wasDirty = lineAddr(l.tags[base+int(w)]-1), true, st>>(16+w)&1 != 0
+	}
+	st = st&^(1<<(16+w)) | 1<<w
+	if dirty {
+		st |= 1 << (16 + w)
+	}
+	i = base + int(w)
+	l.tags[i] = tagOf(a)
+	l.state[s] = st
+	l.rec[s] = r
+	return i, evicted, wasValid, wasDirty
+}
+
+// invalidate removes a from the level, returning whether it was present
+// and dirty. The way keeps its place in the recency word: the next fill of
+// the set picks the lowest invalid way and promotes it.
+func (l *level) invalidate(a lineAddr) (dirty bool) {
+	s := uint64(a) & l.mask
+	set := l.tags[int(s)*l.assoc:][:l.assoc]
+	for w, t := range set {
+		if t == tagOf(a) {
+			set[w] = 0
+			m := uint32(0x10001) << (w & 15) // the way's valid and dirty bits
+			st := l.state[s]
+			l.state[s] = st &^ m
+			return st&m > 0xFFFF
 		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
 	}
-	return victim
-}
-
-// stamp marks a way most recently used.
-func (l *level) stamp(w *way) {
-	l.tick++
-	w.used = l.tick
-}
-
-// invalidate removes a from the level, returning whether it was present and
-// whether it was dirty.
-func (l *level) invalidate(a lineAddr) (present, dirty bool) {
-	if l == nil {
-		return false, false
-	}
-	set := l.setOf(a)
-	for i := range set {
-		if set[i].valid && set[i].line == a {
-			present, dirty = true, set[i].dirty
-			set[i] = way{}
-			return present, dirty
-		}
-	}
-	return false, false
+	return false
 }
 
 // flushAll invalidates every line (used by tests and node reset).
 func (l *level) flushAll() {
-	if l == nil {
-		return
-	}
-	for i := range l.ways {
-		l.ways[i] = way{}
-	}
+	clear(l.tags)
+	clear(l.state)
 }
 
 // dirEntry tracks the MESI state of one line across the two nodes. It is
@@ -201,8 +267,12 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds the cache model for the given configuration and
-// physical layout.
+// physical layout. It panics on a configuration Validate rejects; callers
+// taking geometry from users (machine.Config) validate first.
 func NewHierarchy(cfg Config, layout *mem.Layout) *Hierarchy {
+	if err := cfg.Validate(layout); err != nil {
+		panic(err)
+	}
 	h := &Hierarchy{cfg: cfg, layout: layout, dir: newDirTable()}
 	for n := 0; n < 2; n++ {
 		nc := &nodeCaches{coreStats: make([]CoreStats, cfg.Nodes[n].Cores)}
@@ -328,13 +398,20 @@ func (h *Hierarchy) Access(node mem.NodeID, core int, kind Kind, addr mem.PhysAd
 }
 
 // accessLine performs the per-line simulation: coherence, lookup, fill.
+// It counts the access and serves the most common one, a read hitting the
+// L1's hot way, itself; accessSlow does the rest, so this path makes no
+// call and spills nothing.
+//
+// Read L1 hits skip the directory: a line cached here cannot have a
+// remote M/E owner (a remote write would have snoop-invalidated it; a
+// remote read of an owned line demotes the owner), so the directory
+// transaction would neither charge cycles nor change state. Skipping the
+// directory probe entirely is therefore invisible to the timing model;
+// the inclusion invariant guarantees the entry exists and records this
+// node as a holder.
 func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycles {
 	nc := h.nodes[node]
 	st := &nc.stats
-	lat := h.cfg.Nodes[node].Lat
-	other := 1 - node
-	isWrite := kind == Write
-
 	l1 := nc.l1d[core]
 	cs := &nc.coreStats[core]
 	if kind == Ifetch {
@@ -346,34 +423,23 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 		cs.L1DAccesses++
 		st.MemAccesses++
 	}
+	if kind != Write && l1.tags[l1.hot] == tagOf(ln) {
+		return nc.readHitL1(cs, kind, h.cfg.Nodes[node].Lat.L1)
+	}
+	return h.accessSlow(node, core, kind, ln, l1)
+}
 
-	if !isWrite {
-		// Read L1-hit fast path: a line cached here cannot have a remote
-		// M/E owner (a remote write would have snoop-invalidated it; a
-		// remote read of an owned line demotes the owner), so the
-		// directory transaction below would neither charge cycles nor
-		// change state. Skipping the directory probe entirely is therefore
-		// invisible to the timing model; the inclusion invariant
-		// guarantees the entry exists and records this node as a holder.
-		// The mru check is hoisted out of lookup (here and below) so both
-		// halves stay within the inlining budget.
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
-		}
-		if w != nil {
-			l1.stamp(w)
-			if kind == Ifetch {
-				st.L1IHits++
-				cs.L1IHits++
-			} else {
-				st.L1DHits++
-				cs.L1DHits++
-			}
-			st.CacheHitLatency += lat.L1
-			st.TotalLatency += lat.L1
-			return lat.L1
-		}
+// accessSlow is accessLine past the hot-way check.
+func (h *Hierarchy) accessSlow(node, core int, kind Kind, ln lineAddr, l1 *level) sim.Cycles {
+	nc := h.nodes[node]
+	st := &nc.stats
+	cs := &nc.coreStats[core]
+	lat := h.cfg.Nodes[node].Lat
+	other := 1 - node
+	isWrite := kind == Write
+
+	if !isWrite && l1.probe(ln) >= 0 {
+		return nc.readHitL1(cs, kind, lat.L1)
 	}
 
 	var cost sim.Cycles
@@ -424,13 +490,8 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 
 	// Level lookups. Reads already probed (and missed) L1 above.
 	if isWrite {
-		w := l1.mru
-		if w == nil || !w.valid || w.line != ln {
-			w = l1.lookup(ln)
-		}
-		if w != nil {
-			l1.stamp(w)
-			w.dirty = true
+		if i := l1.probe(ln); i >= 0 {
+			l1.setDirty(ln, i)
 			st.L1DHits++
 			cs.L1DHits++
 			cost += lat.L1
@@ -443,22 +504,14 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 
 	st.L2Accesses++
 	l2 := nc.l2[core]
-	var w2 *way
-	if l2 != nil {
-		w2 = l2.mru
-		if w2 == nil || !w2.valid || w2.line != ln {
-			w2 = l2.lookup(ln)
-		}
-	}
-	if w := w2; w != nil {
-		l2.stamp(w)
+	if i2 := l2.probe(ln); i2 >= 0 {
 		if isWrite {
-			w.dirty = true
+			l2.setDirty(ln, i2)
 		}
 		st.L2Hits++
 		cost += lat.L2
 		st.CacheHitLatency += lat.L2
-		h.fillLevel(node, core, l1, ln, isWrite)
+		l1.insert(ln, isWrite)
 		st.TotalLatency += cost
 		return cost
 	}
@@ -470,20 +523,15 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 	}
 	if l3 != nil {
 		st.L3Accesses++
-		w3 := l3.mru
-		if w3 == nil || !w3.valid || w3.line != ln {
-			w3 = l3.lookup(ln)
-		}
-		if w := w3; w != nil {
-			l3.stamp(w)
+		if i := l3.probe(ln); i >= 0 {
 			if isWrite {
-				w.dirty = true
+				l3.setDirty(ln, i)
 			}
 			st.L3Hits++
 			cost += lat.L3
 			st.CacheHitLatency += lat.L3
-			h.fillLevel(node, core, l2, ln, isWrite)
-			h.fillLevel(node, core, l1, ln, isWrite)
+			l2.insert(ln, isWrite)
+			l1.insert(ln, isWrite)
 			st.TotalLatency += cost
 			return cost
 		}
@@ -517,50 +565,47 @@ func (h *Hierarchy) accessLine(node, core int, kind Kind, ln lineAddr) sim.Cycle
 			PA: uint64(pa), Arg: remote, Cost: int64(memLat)})
 	}
 
-	// Fill the whole hierarchy (inclusive).
-	h.fillL3(node, core, l3, ln, isWrite, loc)
-	h.fillLevel(node, core, l2, ln, isWrite)
-	h.fillLevel(node, core, l1, ln, isWrite)
+	// Fill the whole hierarchy (inclusive). The inner levels discard their
+	// evictions: the lines stay in the outer levels by inclusion.
+	h.fillL3(node, core, l3, ln, isWrite)
+	l2.insert(ln, isWrite)
+	l1.insert(ln, isWrite)
 	st.TotalLatency += cost
 	return cost
 }
 
-// fillLevel inserts a line into an inner level, discarding clean evictions
-// (the line stays in the outer levels by inclusion).
-func (h *Hierarchy) fillLevel(node, core int, l *level, ln lineAddr, dirty bool) {
-	if l == nil {
-		return
+// readHitL1 counts a read or instruction fetch that hit the L1 and
+// returns its latency.
+func (nc *nodeCaches) readHitL1(cs *CoreStats, kind Kind, l1 sim.Cycles) sim.Cycles {
+	st := &nc.stats
+	if kind == Ifetch {
+		st.L1IHits++
+		cs.L1IHits++
+	} else {
+		st.L1DHits++
+		cs.L1DHits++
 	}
-	w, _, _, _ := l.insert(ln)
-	if dirty {
-		w.dirty = true
-	}
-	_ = node
-	_ = core
+	st.CacheHitLatency += l1
+	st.TotalLatency += l1
+	return l1
 }
 
 // fillL3 inserts into the last level, maintaining inclusion: an evicted
 // valid line is back-invalidated out of the inner levels and, since the node
 // then holds no copy, cleared from the coherence directory.
-func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool, loc mem.Locality) {
+func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool) {
 	st := &h.nodes[node].stats
 	if l3 == nil {
 		// Small configs without an L3 enforce inclusion at L2 instead.
-		w, evicted, wasValid, wasDirty := h.nodes[node].l2[core].insert(ln)
-		if wasValid {
+		l2 := h.nodes[node].l2[core]
+		// The back-invalidation targets only the evicted line, which is
+		// never ln (ln missed this L2), so the fill stays put.
+		if _, evicted, wasValid, wasDirty := l2.insert(ln, dirty); wasValid {
 			h.onLastLevelEvict(node, evicted, wasDirty)
-		}
-		if dirty {
-			// The back-invalidation above targets only the evicted line,
-			// never ln, so w still holds the line just filled.
-			w.dirty = true
 		}
 		return
 	}
-	w, evicted, wasValid, wasDirty := l3.insert(ln)
-	if dirty {
-		w.dirty = true
-	}
+	_, evicted, wasValid, wasDirty := l3.insert(ln, dirty)
 	if !wasValid {
 		return
 	}
@@ -580,10 +625,10 @@ func (h *Hierarchy) fillL3(node, core int, l3 *level, ln lineAddr, dirty bool, l
 func (h *Hierarchy) onLastLevelEvict(node int, ln lineAddr, dirty bool) {
 	nc := h.nodes[node]
 	for c := range nc.l2 {
-		if p, d := nc.l2[c].invalidate(ln); p && d {
+		if nc.l2[c].invalidate(ln) {
 			dirty = true
 		}
-		if p, d := nc.l1d[c].invalidate(ln); p && d {
+		if nc.l1d[c].invalidate(ln) {
 			dirty = true
 		}
 		nc.l1i[c].invalidate(ln)

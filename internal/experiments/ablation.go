@@ -45,10 +45,11 @@ func AblationRemoteAlloc(scale Scale) (*RemoteAllocResult, error) {
 	}
 
 	heapRow := RemoteAllocRow{Benchmark: "heap-growth"}
-	for i, disable := range []bool{false, true} {
+	err := forEachRow(2, func(i int) error {
+		disable := i == 1
 		m, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if so, ok := m.OS.(*stramash.OS); ok {
 			so.DisableRemoteAlloc = disable
@@ -78,7 +79,7 @@ func AblationRemoteAlloc(scale Scale) (*RemoteAllocResult, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("ablation-remote-alloc heap: %w", err)
+			return fmt.Errorf("ablation-remote-alloc heap: %w", err)
 		}
 		if disable {
 			heapRow.WithoutCycles = cycles
@@ -86,6 +87,10 @@ func AblationRemoteAlloc(scale Scale) (*RemoteAllocResult, error) {
 			heapRow.WithCycles = cycles
 		}
 		heapRow.Messages[i] = m.Messages()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	heapRow.Slowdown = ratio(float64(heapRow.WithoutCycles), float64(heapRow.WithCycles))
 	r.Rows = append(r.Rows, heapRow)
@@ -149,17 +154,23 @@ func AblationIPI(scale Scale) (*IPISensitivityResult, error) {
 	if scale == Quick {
 		rounds = 20
 	}
-	r := &IPISensitivityResult{}
-	for _, us := range []float64{0.5, 2, 8} {
+	sweep := []float64{0.5, 2, 8}
+	r := &IPISensitivityResult{Rows: make([]IPIRow, len(sweep))}
+	err := forEachRow(len(sweep), func(i int) error {
+		us := sweep[i]
 		m, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS, IPIMicros: us})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := microbench.RunWakeLatency(m, rounds)
 		if err != nil {
-			return nil, fmt.Errorf("ablation-ipi %.1fµs: %w", us, err)
+			return fmt.Errorf("ablation-ipi %.1fµs: %w", us, err)
 		}
-		r.Rows = append(r.Rows, IPIRow{IPIMicros: us, Cycles: sim.Cycles(res.MeanCycles)})
+		r.Rows[i] = IPIRow{IPIMicros: us, Cycles: sim.Cycles(res.MeanCycles)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -31,27 +31,33 @@ type Table3Result struct {
 // Table3 runs each benchmark under both OSes on the Shared model and
 // collects the counters.
 func Table3(scale Scale) (*Table3Result, error) {
-	r := &Table3Result{}
 	class := scale.class()
-	for _, bench := range []string{"IS", "CG", "MG", "FT"} {
-		row := Table3Row{Benchmark: bench}
-		for _, osk := range []machine.OSKind{machine.PopcornSHM, machine.StramashOS} {
-			m, err := machine.New(machine.Config{Model: mem.Shared, OS: osk})
-			if err != nil {
-				return nil, err
-			}
-			_, task, err := runBenchmark(m, bench, class, true)
-			if err != nil {
-				return nil, fmt.Errorf("table3 %s/%v: %w", bench, osk, err)
-			}
-			switch osk {
-			case machine.PopcornSHM:
-				row.PopcornMessages = m.Messages()
-				row.PopcornPages = task.Proc.ReplicatedPages
-			case machine.StramashOS:
-				row.StramashMessages = m.Messages()
-				row.StramashPages = task.Proc.ReplicatedPages
-			}
+	benches := []string{"IS", "CG", "MG", "FT"}
+	oses := []machine.OSKind{machine.PopcornSHM, machine.StramashOS}
+	// msgs and pages are indexed [benchmark][OS].
+	msgs, pages := make([][2]int64, len(benches)), make([][2]int64, len(benches))
+	err := forEachRow(len(benches)*len(oses), func(i int) error {
+		b, k := i/len(oses), i%len(oses)
+		m, err := machine.New(machine.Config{Model: mem.Shared, OS: oses[k]})
+		if err != nil {
+			return err
+		}
+		_, task, err := runBenchmark(m, benches[b], class, true)
+		if err != nil {
+			return fmt.Errorf("table3 %s/%v: %w", benches[b], oses[k], err)
+		}
+		msgs[b][k], pages[b][k] = m.Messages(), task.Proc.ReplicatedPages
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &Table3Result{}
+	for b, bench := range benches {
+		row := Table3Row{
+			Benchmark:       bench,
+			PopcornMessages: msgs[b][0], StramashMessages: msgs[b][1],
+			PopcornPages: pages[b][0], StramashPages: pages[b][1],
 		}
 		row.MsgReduction = 1 - ratio(float64(row.StramashMessages), float64(row.PopcornMessages))
 		row.PageReduction = 1 - ratio(float64(row.StramashPages), float64(row.PopcornPages))
@@ -146,31 +152,42 @@ type Figure9Result struct {
 }
 
 // Figure9 runs the NPB × OS/model grid (with the default 4 MB L3).
-func Figure9(scale Scale) (*Figure9Result, error) { return figure9At(scale, 0) }
+func Figure9(scale Scale) (*Figure9Result, error) {
+	return npbGrid("figure9", machine.Config{}, scale.class(), []string{"IS", "CG", "MG", "FT"}, Figure9Configs())
+}
 
-func figure9At(scale Scale, l3 int) (*Figure9Result, error) {
-	r := &Figure9Result{L3Size: l3}
-	class := scale.class()
-	for _, bench := range []string{"IS", "CG", "MG", "FT"} {
+// npbGrid runs every benchmark × configuration cell of an NPB grid on its
+// own machine (base with the configuration's OS and model), pooled on the
+// host budget, and normalises each cell to its benchmark's Vanilla run
+// once all cells are in.
+func npbGrid(id string, base machine.Config, class npb.Class, benches []string, configs []NPBConfig) (*Figure9Result, error) {
+	r := &Figure9Result{L3Size: base.L3Size, Cells: make([]Figure9Cell, len(benches)*len(configs))}
+	err := forEachRow(len(r.Cells), func(i int) error {
+		bench, cfg := benches[i/len(configs)], configs[i%len(configs)]
+		mc := base
+		mc.Model, mc.OS = cfg.Model, cfg.OS
+		m, err := machine.New(mc)
+		if err != nil {
+			return err
+		}
+		cycles, _, err := runBenchmark(m, bench, class, cfg.Migrate)
+		if err != nil {
+			return fmt.Errorf("%s %s/%s: %w", id, bench, cfg.Label, err)
+		}
+		r.Cells[i] = Figure9Cell{Benchmark: bench, Config: cfg.Label, Cycles: cycles}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b := range benches {
 		var vanilla sim.Cycles
-		for _, cfg := range Figure9Configs() {
-			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3})
-			if err != nil {
-				return nil, err
-			}
-			cycles, _, err := runBenchmark(m, bench, class, cfg.Migrate)
-			if err != nil {
-				return nil, fmt.Errorf("figure9 %s/%s: %w", bench, cfg.Label, err)
-			}
+		for k, cfg := range configs {
+			c := &r.Cells[b*len(configs)+k]
 			if cfg.Label == "Vanilla" {
-				vanilla = cycles
+				vanilla = c.Cycles
 			}
-			r.Cells = append(r.Cells, Figure9Cell{
-				Benchmark:  bench,
-				Config:     cfg.Label,
-				Cycles:     cycles,
-				Normalized: ratio(float64(cycles), float64(vanilla)),
-			})
+			c.Normalized = ratio(float64(c.Cycles), float64(vanilla))
 		}
 	}
 	return r, nil
@@ -266,50 +283,30 @@ type Figure10Result struct {
 // 128 KiB L2 — preserving the capacity relationship of the paper's
 // 4 MiB-vs-32 MiB study.
 func Figure10(scale Scale) (*Figure10Result, error) {
-	small, err := figure10Grid(scale, 256<<10)
+	l3s := [2]int{256 << 10, 2 << 20}
+	var grids [2]*Figure9Result
+	err := forEachRow(len(l3s), func(g int) (err error) {
+		grids[g], err = figure10Grid(l3s[g])
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	large, err := figure10Grid(scale, 2<<20)
-	if err != nil {
-		return nil, err
-	}
-	return &Figure10Result{Small: small, Large: large}, nil
+	return &Figure10Result{Small: grids[0], Large: grids[1]}, nil
 }
 
 // figure10Grid runs only IS and CG on the configs that matter for the
 // study (SHM and Stramash-Shared/Separated plus Vanilla for normalization).
-func figure10Grid(scale Scale, l3 int) (*Figure9Result, error) {
-	r := &Figure9Result{L3Size: l3}
-	class := npb.ClassS // capacity effects need the full working set
-	_ = scale
+// Capacity effects need the full working set, so it runs class S at any
+// scale.
+func figure10Grid(l3 int) (*Figure9Result, error) {
 	configs := []NPBConfig{
 		{"Vanilla", machine.VanillaOS, mem.FullyShared, false},
 		{"Popcorn-SHM", machine.PopcornSHM, mem.Shared, true},
 		{"Stramash-Shared", machine.StramashOS, mem.Shared, true},
 		{"Stramash-Separated", machine.StramashOS, mem.Separated, true},
 	}
-	for _, bench := range []string{"IS", "CG"} {
-		var vanilla sim.Cycles
-		for _, cfg := range configs {
-			m, err := machine.New(machine.Config{Model: cfg.Model, OS: cfg.OS, L3Size: l3, L2Size: 128 << 10})
-			if err != nil {
-				return nil, err
-			}
-			cycles, _, err := runBenchmark(m, bench, class, cfg.Migrate)
-			if err != nil {
-				return nil, fmt.Errorf("figure10 %s/%s: %w", bench, cfg.Label, err)
-			}
-			if cfg.Label == "Vanilla" {
-				vanilla = cycles
-			}
-			r.Cells = append(r.Cells, Figure9Cell{
-				Benchmark: bench, Config: cfg.Label, Cycles: cycles,
-				Normalized: ratio(float64(cycles), float64(vanilla)),
-			})
-		}
-	}
-	return r, nil
+	return npbGrid("figure10", machine.Config{L3Size: l3, L2Size: 128 << 10}, npb.ClassS, []string{"IS", "CG"}, configs)
 }
 
 // Name implements Result.

@@ -29,21 +29,23 @@ type Table4Result struct {
 // Table4 measures offline/online costs for slice sizes of 2^15..2^20
 // pages on both kernels. Quick scale stops at 2^17.
 func Table4(scale Scale) (*Table4Result, error) {
-	r := &Table4Result{}
 	maxExp := 20
 	if scale == Quick {
 		maxExp = 17
 	}
-	for exp := 15; exp <= maxExp; exp++ {
-		pages := int64(1) << exp
-		row := Table4Row{Pages: pages}
+	const minExp = 15
+	r := &Table4Result{Rows: make([]Table4Row, maxExp-minExp+1)}
+	err := forEachRow(len(r.Rows), func(i int) error {
+		pages := int64(1) << (minExp + i)
+		row := &r.Rows[i]
+		row.Pages = pages
 		m, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		so, ok := m.OS.(*stramash.OS)
 		if !ok {
-			return nil, fmt.Errorf("table4: not a stramash machine")
+			return fmt.Errorf("table4: not a stramash machine")
 		}
 		// Rebuild the allocator with the requested slice size.
 		cfg := stramash.DefaultGlobalConfig()
@@ -51,7 +53,7 @@ func Table4(scale Scale) (*Table4Result, error) {
 		g := stramash.NewGlobalAllocator(so.Ctx, cfg)
 		blocks := g.Blocks()
 		if len(blocks) == 0 {
-			return nil, fmt.Errorf("table4: pool too small for %d pages", pages)
+			return fmt.Errorf("table4: pool too small for %d pages", pages)
 		}
 
 		var herr error
@@ -81,12 +83,12 @@ func Table4(scale Scale) (*Table4Result, error) {
 			}
 		})
 		if err := m.Plat.Engine.Run(); err != nil {
-			return nil, err
+			return err
 		}
-		if herr != nil {
-			return nil, herr
-		}
-		r.Rows = append(r.Rows, row)
+		return herr
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -195,21 +197,24 @@ func Figure11(scale Scale) (*Figure11Result, error) {
 		{"OaR", microbench.OriginAccessRemote, false},
 		{"OaR-NC", microbench.OriginAccessRemote, true},
 	}
-	r := &Figure11Result{}
-	for _, sys := range systems {
-		for _, sc := range scenarios {
-			m, err := machine.New(machine.Config{Model: sys.model, OS: sys.os, L3Size: l3})
-			if err != nil {
-				return nil, err
-			}
-			pp := p
-			pp.NoCold = sc.noCold
-			res, err := microbench.RunMemAccess(m, pp, sc.dir)
-			if err != nil {
-				return nil, fmt.Errorf("figure11 %s/%s: %w", sys.label, sc.label, err)
-			}
-			r.Cells = append(r.Cells, Figure11Cell{Scenario: sc.label, System: sys.label, Cycles: res.Cycles})
+	r := &Figure11Result{Cells: make([]Figure11Cell, len(systems)*len(scenarios))}
+	err := forEachRow(len(r.Cells), func(i int) error {
+		sys, sc := systems[i/len(scenarios)], scenarios[i%len(scenarios)]
+		m, err := machine.New(machine.Config{Model: sys.model, OS: sys.os, L3Size: l3})
+		if err != nil {
+			return err
 		}
+		pp := p
+		pp.NoCold = sc.noCold
+		res, err := microbench.RunMemAccess(m, pp, sc.dir)
+		if err != nil {
+			return fmt.Errorf("figure11 %s/%s: %w", sys.label, sc.label, err)
+		}
+		r.Cells[i] = Figure11Cell{Scenario: sc.label, System: sys.label, Cycles: res.Cycles}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -282,30 +287,29 @@ func Figure12(scale Scale) (*Figure12Result, error) {
 	if scale == Quick {
 		pages = 16
 	}
+	sweep := []int{1, 2, 4, 8, 16, 32, 64}
+	oses := []machine.OSKind{machine.PopcornSHM, machine.StramashOS} // DSM, hardware coherence
+	perPage := make([][2]float64, len(sweep))
+	err := forEachRow(len(sweep)*len(oses), func(i int) error {
+		j, k := i/len(oses), i%len(oses)
+		m, err := machine.New(machine.Config{Model: mem.Shared, OS: oses[k]})
+		if err != nil {
+			return err
+		}
+		res, err := microbench.RunGranularity(m, microbench.GranularityParams{Lines: sweep[j], Pages: pages})
+		if err != nil {
+			return fmt.Errorf("figure12 %s %d lines: %w", [2]string{"dsm", "hw"}[k], sweep[j], err)
+		}
+		perPage[j][k] = res.PerPage
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	r := &Figure12Result{}
-	for _, lines := range []int{1, 2, 4, 8, 16, 32, 64} {
-		mp, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.PopcornSHM})
-		if err != nil {
-			return nil, err
-		}
-		dsm, err := microbench.RunGranularity(mp, microbench.GranularityParams{Lines: lines, Pages: pages})
-		if err != nil {
-			return nil, fmt.Errorf("figure12 dsm %d lines: %w", lines, err)
-		}
-		ms, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS})
-		if err != nil {
-			return nil, err
-		}
-		hw, err := microbench.RunGranularity(ms, microbench.GranularityParams{Lines: lines, Pages: pages})
-		if err != nil {
-			return nil, fmt.Errorf("figure12 hw %d lines: %w", lines, err)
-		}
-		r.Rows = append(r.Rows, Figure12Row{
-			Lines:      lines,
-			DSMPerPage: dsm.PerPage,
-			HWPerPage:  hw.PerPage,
-			Ratio:      ratio(dsm.PerPage, hw.PerPage),
-		})
+	for j, lines := range sweep {
+		dsm, hw := perPage[j][0], perPage[j][1]
+		r.Rows = append(r.Rows, Figure12Row{Lines: lines, DSMPerPage: dsm, HWPerPage: hw, Ratio: ratio(dsm, hw)})
 	}
 	return r, nil
 }
@@ -367,29 +371,32 @@ func Figure13(scale Scale) (*Figure13Result, error) {
 	if scale == Quick {
 		counts = []int{50, 100}
 	}
+	oses := []machine.OSKind{machine.StramashOS, machine.PopcornSHM} // optimized, regular
+	cycles := make([][2]sim.Cycles, len(counts))
+	err := forEachRow(len(counts)*len(oses), func(i int) error {
+		j, k := i/len(oses), i%len(oses)
+		m, err := machine.New(machine.Config{Model: mem.Shared, OS: oses[k]})
+		if err != nil {
+			return err
+		}
+		res, err := microbench.RunFutexPingPong(m, counts[j])
+		if err != nil {
+			return fmt.Errorf("figure13 %s %d: %w", [2]string{"stramash", "popcorn"}[k], counts[j], err)
+		}
+		cycles[j][k] = res.Cycles
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	r := &Figure13Result{}
-	for _, loops := range counts {
-		ms, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS})
-		if err != nil {
-			return nil, err
-		}
-		opt, err := microbench.RunFutexPingPong(ms, loops)
-		if err != nil {
-			return nil, fmt.Errorf("figure13 stramash %d: %w", loops, err)
-		}
-		mp, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.PopcornSHM})
-		if err != nil {
-			return nil, err
-		}
-		reg, err := microbench.RunFutexPingPong(mp, loops)
-		if err != nil {
-			return nil, fmt.Errorf("figure13 popcorn %d: %w", loops, err)
-		}
+	for j, loops := range counts {
+		opt, reg := cycles[j][0], cycles[j][1]
 		r.Rows = append(r.Rows, Figure13Row{
 			Loops:           loops,
-			OptimizedCycles: opt.Cycles,
-			RegularCycles:   reg.Cycles,
-			Speedup:         ratio(float64(reg.Cycles), float64(opt.Cycles)),
+			OptimizedCycles: opt,
+			RegularCycles:   reg,
+			Speedup:         ratio(float64(reg), float64(opt)),
 		})
 	}
 	return r, nil

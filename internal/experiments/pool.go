@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -24,61 +22,37 @@ type Outcome struct {
 
 // PoolOptions configures RunPool.
 type PoolOptions struct {
-	// Parallelism bounds how many specs run concurrently; zero or negative
-	// means runtime.GOMAXPROCS(0).
+	// Parallelism is the host-parallelism width for the run: how many
+	// specs, and machine runs within them, execute at once (hostpool.go).
+	// Zero or negative means runtime.GOMAXPROCS(0); 1 is sequential.
 	Parallelism int
 	// Timeout is the per-spec wall-clock limit; zero disables it. A spec
 	// that exceeds it is reported as an error and abandoned: its goroutine
 	// keeps simulating until it finishes on its own (the simulator has no
-	// preemption points), but its result is discarded.
+	// preemption points), outside the width, but its result is discarded.
 	Timeout time.Duration
 }
 
-func (o PoolOptions) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// RunPool executes specs on a bounded worker pool. Every spec builds its
-// own machines and shares no state with the others, so they run in fully
+// RunPool executes specs on the host budget. Every spec builds its own
+// machines and shares no state with the others, so they run in fully
 // isolated goroutines with per-spec panic recovery and an optional
 // wall-clock timeout. Outcomes are indexed exactly like specs regardless
 // of completion order, which lets callers render deterministic,
 // paper-ordered reports. Cancelling ctx fails specs that have not started
 // with the context's error; specs already running are simulation-bound and
-// finish on their own.
+// finish on their own. RunPool sets the process's width for its duration,
+// so concurrent pools share one budget.
 func RunPool(ctx context.Context, specs []Spec, scale Scale, opts PoolOptions) []Outcome {
+	prev := budget.setWidth(opts.Parallelism)
+	defer budget.setWidth(prev)
 	outcomes := make([]Outcome, len(specs))
-	workers := opts.workers()
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				outcomes[i] = runOne(ctx, specs[i], scale, opts.Timeout)
-			}
-		}()
-	}
-	for i := range specs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			outcomes[i] = Outcome{
-				Spec: specs[i],
-				Err:  fmt.Errorf("experiments: %s: %w", specs[i].ID, ctx.Err()),
-			}
+	share(len(specs), func(i int) {
+		if err := ctx.Err(); err != nil {
+			outcomes[i] = Outcome{Spec: specs[i], Err: fmt.Errorf("experiments: %s: %w", specs[i].ID, err)}
+			return
 		}
-	}
-	close(idx)
-	wg.Wait()
+		outcomes[i] = runOne(ctx, specs[i], scale, opts.Timeout)
+	})
 	return outcomes
 }
 

@@ -31,36 +31,36 @@ func Figure14(scale Scale) (*Figure14Result, error) {
 		requests = 40
 		payload = 512
 	}
-	r := &Figure14Result{}
-	for _, name := range redisapp.CommandNames {
+	oses := []machine.OSKind{machine.PopcornTCP, machine.PopcornSHM, machine.StramashOS}
+	perReq := make([][3]float64, len(redisapp.CommandNames))
+	err := forEachRow(len(perReq)*len(oses), func(i int) error {
+		name, osk := redisapp.CommandNames[i/len(oses)], oses[i%len(oses)]
 		cmd, err := redisapp.ParseCommand(name)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := Figure14Row{Command: name}
-		for _, sys := range []struct {
-			os  machine.OSKind
-			dst *float64
-		}{
-			{machine.PopcornTCP, &row.TCP},
-			{machine.PopcornSHM, &row.SHM},
-			{machine.StramashOS, &row.Stramash},
-		} {
-			m, err := machine.New(machine.Config{Model: mem.Shared, OS: sys.os})
-			if err != nil {
-				return nil, err
-			}
-			res, err := redisapp.Run(m, redisapp.BenchParams{
-				Command: cmd, Requests: requests, PayloadBytes: payload, Keys: 32,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("figure14 %s/%v: %w", name, sys.os, err)
-			}
-			if res.Errors > 0 {
-				return nil, fmt.Errorf("figure14 %s/%v: %d command errors", name, sys.os, res.Errors)
-			}
-			*sys.dst = res.CyclesPerRequest
+		m, err := machine.New(machine.Config{Model: mem.Shared, OS: osk})
+		if err != nil {
+			return err
 		}
+		res, err := redisapp.Run(m, redisapp.BenchParams{
+			Command: cmd, Requests: requests, PayloadBytes: payload, Keys: 32,
+		})
+		if err != nil {
+			return fmt.Errorf("figure14 %s/%v: %w", name, osk, err)
+		}
+		if res.Errors > 0 {
+			return fmt.Errorf("figure14 %s/%v: %d command errors", name, osk, res.Errors)
+		}
+		perReq[i/len(oses)][i%len(oses)] = res.CyclesPerRequest
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &Figure14Result{}
+	for j, name := range redisapp.CommandNames {
+		row := Figure14Row{Command: name, TCP: perReq[j][0], SHM: perReq[j][1], Stramash: perReq[j][2]}
 		row.SHMSpeedup = ratio(row.TCP, row.SHM)
 		row.StramashSpeedup = ratio(row.TCP, row.Stramash)
 		r.Rows = append(r.Rows, row)

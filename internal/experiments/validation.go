@@ -157,43 +157,52 @@ func Figure7(p hwref.Pair, scale Scale) (*ICountResult, error) {
 	class := npb.ClassS
 	_ = scale
 
-	for _, bench := range npb.Names() {
-		// Ground truth: the benchmark with migration on the "physical"
-		// pair (native CPIs), like the paper's Popcorn-Linux + native perf
-		// runs over PCIe/Ethernet.
-		nm, err := hwref.NativeMachine(p, machine.PopcornTCP)
-		if err != nil {
-			return nil, err
+	// Each benchmark boots three machines: the ground truth, with migration
+	// on the "physical" pair (native CPIs), like the paper's Popcorn-Linux
+	// + native perf runs over PCIe/Ethernet; then Popcorn-SHM ("ICOUNT")
+	// and Stramash ("STRAMASH ICOUNT") on the fused simulator.
+	benches := npb.Names()
+	oses := []machine.OSKind{machine.PopcornSHM, machine.StramashOS}
+	per := 1 + len(oses)
+	profs := make([]perf.Profile, len(benches)*per) // [bench][native, oses...]
+	err := forEachRow(len(profs), func(i int) error {
+		bench, k := benches[i/per], i%per
+		var m *machine.Machine
+		var err error
+		if k == 0 {
+			m, err = hwref.NativeMachine(p, machine.PopcornTCP)
+		} else {
+			m, err = hwref.SimulatorMachine(p, oses[k-1], mem.Shared)
 		}
-		_, nativeTask, err := runBenchmark(nm, bench, class, true)
 		if err != nil {
-			return nil, fmt.Errorf("figure7 native %s: %w", bench, err)
+			return err
 		}
-		nativeProf := perf.Collect(nativeTask)
-		nativeIPC := [2]float64{nativeProf.Node[0].IPC(), nativeProf.Node[1].IPC()}
-
-		// Simulator runs: Popcorn-SHM ("ICOUNT") and Stramash
-		// ("STRAMASH ICOUNT") on the fused simulator.
-		for _, osk := range []machine.OSKind{machine.PopcornSHM, machine.StramashOS} {
-			sm, err := hwref.SimulatorMachine(p, osk, mem.Shared)
-			if err != nil {
-				return nil, err
-			}
-			_, simTask, err := runBenchmark(sm, bench, class, true)
-			if err != nil {
-				return nil, fmt.Errorf("figure7 sim %s/%v: %w", bench, osk, err)
-			}
-			simProf := perf.Collect(simTask)
-			est := perf.EstimateCycles(simProf, nativeIPC)
-			actual := nativeProf.TotalCycles()
-			row := ICountRow{
+		_, task, err := runBenchmark(m, bench, class, true)
+		switch {
+		case err != nil && k == 0:
+			return fmt.Errorf("figure7 native %s: %w", bench, err)
+		case err != nil:
+			return fmt.Errorf("figure7 sim %s/%v: %w", bench, oses[k-1], err)
+		}
+		profs[i] = perf.Collect(task)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for b, bench := range benches {
+		native := profs[b*per]
+		nativeIPC := [2]float64{native.Node[0].IPC(), native.Node[1].IPC()}
+		for k, osk := range oses {
+			est := perf.EstimateCycles(profs[b*per+1+k], nativeIPC)
+			actual := native.TotalCycles()
+			r.Rows = append(r.Rows, ICountRow{
 				Benchmark:    bench,
 				OS:           osk.String(),
 				NativeCycles: int64(actual),
 				EstCycles:    int64(est),
 				Error:        perf.RelativeError(est, actual),
-			}
-			r.Rows = append(r.Rows, row)
+			})
 		}
 	}
 	var sum float64
@@ -259,12 +268,14 @@ type CacheValResult struct {
 // cache plugin and the independent reference model and compares hit rates
 // per level.
 func Figure8(scale Scale) (*CacheValResult, error) {
-	r := &CacheValResult{}
 	class := scale.class()
-	for _, bench := range []string{"CG", "IS", "MG", "FT"} {
+	benches := []string{"CG", "IS", "MG", "FT"}
+	rows := make([][]CacheValRow, len(benches))
+	err := forEachRow(len(benches), func(b int) error {
+		bench := benches[b]
 		m, err := machine.New(machine.Config{Model: mem.Shared, OS: machine.StramashOS})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		refModel := ref.NewModel(ref.Config{
 			L1ISize: m.Plat.Cfg.Cache.Nodes[0].L1I.Size, L1IWays: m.Plat.Cfg.Cache.Nodes[0].L1I.Ways,
@@ -277,9 +288,8 @@ func Figure8(scale Scale) (*CacheValResult, error) {
 			refModel.Access(node, core, ref.Kind(kind), addr, size)
 		}
 		if _, _, err := runBenchmark(m, bench, class, true); err != nil {
-			return nil, fmt.Errorf("figure8 %s: %w", bench, err)
+			return fmt.Errorf("figure8 %s: %w", bench, err)
 		}
-
 		// Compare combined (both-node) hit rates per level.
 		var pl cache.Stats
 		var rf ref.Stats
@@ -314,15 +324,25 @@ func Figure8(scale Scale) (*CacheValResult, error) {
 			if row.Diff < 0 {
 				row.Diff = -row.Diff
 			}
-			if row.Diff > r.MaxDiff {
-				r.MaxDiff = row.Diff
-			}
-			r.Rows = append(r.Rows, row)
+			rows[b] = append(rows[b], row)
 		}
 		add("L1I", pl.L1IHits, pl.L1IAccesses, rf.L1IHits, rf.L1IAccesses)
 		add("L1D", pl.L1DHits, pl.L1DAccesses, rf.L1DHits, rf.L1DAccesses)
 		add("L2", pl.L2Hits, pl.L2Accesses, rf.L2Hits, rf.L2Accesses)
 		add("L3", pl.L3Hits, pl.L3Accesses, rf.L3Hits, rf.L3Accesses)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	r := &CacheValResult{}
+	for _, bench := range rows {
+		for _, row := range bench {
+			if row.Diff > r.MaxDiff {
+				r.MaxDiff = row.Diff
+			}
+			r.Rows = append(r.Rows, row)
+		}
 	}
 	return r, nil
 }

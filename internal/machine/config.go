@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/kernel"
 	"repro/internal/vfs"
 )
@@ -45,14 +46,23 @@ func (c *Config) Validate() error {
 	if c.SchedQuantum < 0 {
 		return &ConfigError{Field: "SchedQuantum", Value: c.SchedQuantum, Reason: "must not be negative"}
 	}
-	if c.L3Size < 0 {
-		return &ConfigError{Field: "L3Size", Value: c.L3Size, Reason: "must not be negative"}
-	}
-	if c.L2Size < 0 {
-		return &ConfigError{Field: "L2Size", Value: c.L2Size, Reason: "must not be negative"}
-	}
-	if c.L3PerNode != nil && (c.L3PerNode[0] < 0 || c.L3PerNode[1] < 0) {
-		return &ConfigError{Field: "L3PerNode", Value: *c.L3PerNode, Reason: "must not be negative"}
+	// Cache sizes keep the default geometry's associativity, so each must
+	// give a power-of-two number of whole sets (cache.LevelConfig.Validate).
+	def := cache.DefaultNodeConfig(cache.Latencies{})
+	for _, lv := range []struct {
+		field string
+		value any
+		size  int
+		ways  int
+	}{
+		{"L3Size", c.L3Size, c.L3Size, def.L3.Ways},
+		{"L2Size", c.L2Size, c.L2Size, def.L2.Ways},
+		{"L3PerNode", c.L3PerNode, perNode(c.L3PerNode, 0), def.L3.Ways},
+		{"L3PerNode", c.L3PerNode, perNode(c.L3PerNode, 1), def.L3.Ways},
+	} {
+		if err := (cache.LevelConfig{Size: lv.size, Ways: lv.ways}).Validate(); err != nil {
+			return &ConfigError{Field: lv.field, Value: lv.value, Reason: err.Error()}
+		}
 	}
 	if c.IPIMicros < 0 {
 		return &ConfigError{Field: "IPIMicros", Value: c.IPIMicros, Reason: "must not be negative"}
@@ -85,4 +95,12 @@ func (c *Config) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// perNode is node n's entry of an optional per-node size (zero when unset).
+func perNode(sizes *[2]int, n int) int {
+	if sizes == nil {
+		return 0
+	}
+	return sizes[n]
 }

@@ -63,11 +63,13 @@ type Config struct {
 	Model mem.Model
 	OS    OSKind
 	// L3Size overrides the per-node L3 size (default 4 MiB; Figure 10
-	// uses 32 MiB). Zero keeps the default.
+	// uses 32 MiB). Zero keeps the default; any other size must give a
+	// power-of-two number of whole 16-way sets, or Validate rejects it.
 	L3Size int
 	// L2Size overrides the per-core L2 size (default 1 MiB). The scaled
 	// cache-sensitivity experiments shrink the hierarchy so the scaled
 	// working sets exercise the same capacity effects as the originals.
+	// Sizes are checked like L3Size.
 	L2Size int
 	// Cores per node (default 1, like the single-thread NPB runs; zero
 	// selects the default). Negative values and values above MaxCores are

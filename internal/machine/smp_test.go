@@ -31,6 +31,14 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-l3", Config{L3Size: -1}, "L3Size"},
 		{"negative-l2", Config{L2Size: -1}, "L2Size"},
 		{"negative-l3-per-node", Config{L3PerNode: &[2]int{4 << 20, -1}}, "L3PerNode"},
+		{"l3-32MiB", Config{L3Size: 32 << 20}, ""},
+		{"l3-per-node-disabled", Config{L3PerNode: &[2]int{16 << 20, 0}}, ""},
+		{"l3-sets-not-power-of-two", Config{L3Size: 3 << 20}, "L3Size"},
+		{"l3-under-one-set", Config{L3Size: 100}, "L3Size"},
+		{"l3-partial-set", Config{L3Size: 4<<20 + 64}, "L3Size"},
+		{"l2-sets-not-power-of-two", Config{L2Size: 3 << 20}, "L2Size"},
+		{"l2-under-one-set", Config{L2Size: 1000}, "L2Size"},
+		{"l3-per-node-sets-not-power-of-two", Config{L3PerNode: &[2]int{4 << 20, 3 << 20}}, "L3PerNode"},
 		{"negative-ipi", Config{IPIMicros: -2}, "IPIMicros"},
 		{"negative-rtt", Config{NetRTTMicros: -75}, "NetRTTMicros"},
 		{"negative-cpi", Config{CPI: [2]float64{-0.5, 0}}, "CPI"},

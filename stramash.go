@@ -313,12 +313,13 @@ func Experiments() []Experiment { return experiments.All() }
 // FindExperiment looks an experiment up by id (e.g. "fig9", "table3").
 func FindExperiment(id string) (Experiment, bool) { return experiments.Find(id) }
 
-// RunAll regenerates every table and figure at the given scale on a
-// bounded worker pool (parallelism <= 0 means GOMAXPROCS), writing the
-// canonical report to w. Each experiment runs against its own isolated
-// machines, so the report is byte-identical at any parallelism; cancelling
-// ctx fails experiments that have not started yet. The summary carries the
-// deviation count and wall/cpu times; err is the first experiment failure.
+// RunAll regenerates every table and figure at the given scale with
+// parallelism experiments and machine runs in flight (<= 0 means
+// GOMAXPROCS), writing the canonical report to w. Each experiment runs
+// against its own isolated machines, so the report is byte-identical at
+// any parallelism; cancelling ctx fails experiments that have not started
+// yet. The summary carries the deviation count and wall/cpu times; err is
+// the first experiment failure.
 func RunAll(ctx context.Context, w io.Writer, scale ExperimentScale, parallelism int) (ExperimentSummary, error) {
 	s, _, err := experiments.RunAllParallel(ctx, w, scale, ExperimentPoolOptions{Parallelism: parallelism})
 	return s, err
